@@ -32,10 +32,6 @@ def mat_mul(A: Matrix, B: Matrix) -> Matrix:
     return out
 
 
-def mat_vec(A: Matrix, v: Sequence[int]) -> List[int]:
-    return [sum(a * x for a, x in zip(row, v)) for row in A]
-
-
 def vec_mat(v: Sequence[int], A: Matrix) -> List[int]:
     if not A:
         return []

@@ -5,17 +5,22 @@ Five measures are exposed, forming the chain
     LF <= S_rel <= S_max-to-set <= LGR <= LR
 
 (estimate directions permitting): stabilizer fidelity (pure states, exact
-dictionary scan), relative entropy of magic (Frank-Wolfe upper estimate with
-duality gap), min log lambda with rho <= lambda*sigma over the hull, the
-generalized robustness log(2*lambda-1) from the same cone program, and the
-robustness LP.  Also the patch-certificate machinery turning trace-distance
-lower bounds on small patches into global fidelity/entropy lower bounds.
+dictionary scan), relative entropy of magic, min log lambda with
+rho <= lambda*sigma over the hull and the generalized robustness
+log(2*lambda-1) at the same optimum (both for pure states), and the
+robustness LP.  S_rel, S_max-to-set and LGR come from one away-step
+Frank-Wolfe engine with a certified gap.  Every reported value is feasible;
+its status is "exact" or "upper-estimate" and its gap is the certified width
+of the bracket [value - gap, value].  Also the patch-certificate machinery
+turning trace-distance lower bounds on small patches into global
+fidelity/entropy lower bounds.
 """
 
 import itertools
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from functools import cached_property
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 import scipy.optimize
@@ -25,7 +30,6 @@ from .config import DEFAULT_CONFIG, RunConfig, check_dense, log_value
 
 STATUS_EXACT = "exact"
 STATUS_UPPER = "upper-estimate"
-STATUS_LOWER = "lower-estimate"
 
 
 @dataclass
@@ -38,6 +42,11 @@ class StabilizerDictionary:
     @property
     def dim(self) -> int:
         return self.q ** self.n
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """The d x K matrix whose columns are the dictionary vectors."""
+        return np.column_stack(self.vectors)
 
 
 def build_dictionary(n: int, q: int, config: RunConfig = DEFAULT_CONFIG) -> StabilizerDictionary:
@@ -88,14 +97,9 @@ def lf_pure(psi: np.ndarray, dic: StabilizerDictionary,
             config: RunConfig = DEFAULT_CONFIG) -> Tuple[float, np.ndarray]:
     """LF = -log max_phi |<phi|psi>|^2, exact; the maximum over the convex
     hull of pure stabilizer states is attained at a vertex."""
-    best = -1.0
-    witness = dic.vectors[0]
-    for phi in dic.vectors:
-        f = abs(np.vdot(phi, psi)) ** 2
-        if f > best:
-            best = f
-            witness = phi
-    return -log_value(best, config), witness
+    fids = np.abs(dic.matrix.conj().T @ psi) ** 2
+    k = int(np.argmax(fids))
+    return -log_value(float(fids[k]), config), dic.vectors[k]
 
 
 # ---------------------------------------------------------------------------
@@ -125,7 +129,7 @@ def lr_lp(rho: np.ndarray, dic: StabilizerDictionary,
     sol = simplex.solve_lp(A, b, c)
     coeffs = sol.x[:K] - sol.x[K:]
     witness = _herm_from_coords(sol.dual, d)
-    feas = max(abs(float(np.real(np.vdot(v, witness @ v)))) for v in dic.vectors)
+    feas = float(np.max(np.abs(_expectations(dic.matrix, witness))))
     if feas > 1.0 + 1e-8:
         raise ArithmeticError("dual witness violates |Tr(A sigma)| <= 1")
     dual_val = float(np.real(np.trace(witness @ rho)))
@@ -140,76 +144,133 @@ def lr_lp(rho: np.ndarray, dic: StabilizerDictionary,
 
 
 # ---------------------------------------------------------------------------
-# Cone program: S_max-to-set and LGR by cutting planes
+# Away-step Frank-Wolfe over the hull
+# ---------------------------------------------------------------------------
+
+def _expectations(Phi: np.ndarray, A: np.ndarray) -> np.ndarray:
+    """Tr(A phi_k phi_k^dag) for every column phi_k of Phi."""
+    return np.real(np.einsum("ik,ik->k", Phi.conj(), A @ Phi))
+
+
+def _mixture(Phi: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    return (Phi * weights) @ Phi.conj().T
+
+
+def _frank_wolfe(Phi: np.ndarray, scores: Callable[[np.ndarray], np.ndarray],
+                 gap_tol: float, max_iter: int) -> Tuple[np.ndarray, float, int]:
+    """Minimize a convex function of sigma over mixtures of the projectors
+    onto Phi's columns, started at uniform weights (the maximally mixed state
+    for a stabilizer dictionary, so the run does not depend on the frame).
+
+    scores(sigma)[k] is the derivative of the objective along vertex k's
+    weight.  Away steps (Lacoste-Julien & Jaggi 2015) are used alongside the
+    plain vertex steps, which restores fast convergence when the optimum sits
+    on a face.  Each step length is the root of the directional derivative,
+    which stays resolvable long after value differences drown in rounding.
+    Returns (weights, gap, iterations), where gap is the Frank-Wolfe
+    linearization gap at the returned weights, a certified bound on the
+    distance of their objective value to the minimum.
+    """
+    K = Phi.shape[1]
+    weights = np.full(K, 1.0 / K)
+    it = 0
+    while True:
+        s = scores(_mixture(Phi, weights))
+        fw = int(np.argmin(s))
+        g = float(weights @ s)
+        gap = g - s[fw]
+        if gap < gap_tol or it == max_iter:
+            break
+        it += 1
+        active = np.nonzero(weights > 0.0)[0]
+        away = int(active[np.argmax(s[active])])
+        if gap >= s[away] - g or weights[away] == 1.0:
+            step = -weights   # toward vertex fw
+            step[fw] += 1.0
+            t_max = 1.0
+        else:
+            step = weights.copy()   # away from vertex away, up to dropping it
+            step[away] -= 1.0
+            t_max = weights[away] / (1.0 - weights[away])
+
+        def slope(t: float) -> float:
+            return float(scores(_mixture(Phi, weights + t * step)) @ step)
+
+        if slope(t_max) <= 0.0:
+            t = t_max
+        else:
+            try:
+                t = scipy.optimize.brentq(slope, 0.0, t_max, xtol=1e-15, rtol=1e-15)
+            except ValueError:  # slope(0) >= 0 within rounding: no descent left
+                break
+        weights = np.clip(weights + t * step, 0.0, None)
+        if t == t_max and step[away] < 0.0:
+            weights[away] = 0.0
+        weights /= weights.sum()
+    return weights, max(gap, 0.0), it
+
+
+# ---------------------------------------------------------------------------
+# S_max-to-set and LGR of pure states
 # ---------------------------------------------------------------------------
 
 @dataclass
-class ConeResult:
-    s_max_set: float
-    lgr: float
-    lam: float
-    weights: np.ndarray
-    min_eig: float
+class SmaxResult:
+    s_max_set: float      # log lam
+    lgr: float            # log(2 lam - 1)
+    lam: float            # psi^dag sigma^-1 psi, feasible: lam sigma >= rho
+    weights: np.ndarray   # hull weights of sigma per dictionary state
+    gap: float            # certified width of the S_max bracket
+    lgr_gap: float        # the same bracket mapped through log(2 lam - 1)
     status: str
     iterations: int
 
 
-def lgr_smax_cone(rho: np.ndarray, dic: StabilizerDictionary,
-                  config: RunConfig = DEFAULT_CONFIG,
-                  max_iter: int = 500) -> ConeResult:
-    """min sum d_k s.t. sum d_k phi_k >= rho, d >= 0, by cutting planes.
+EIG_FLOOR = 1e-12
+SMAX_GAP_TOL = 1e-10
+SMAX_MAX_ITER = 10000
 
-    Separation oracle: the minimum eigenvector v of sum d_k phi_k - rho adds
-    the plane sum_k d_k |<v|phi_k>|^2 >= <v|rho|v>.  Converged when the
-    minimum eigenvalue is >= -1e-8 (then the LP optimum is the cone optimum);
-    hitting the iteration cap downgrades the result to a lower estimate.
+
+def _fractional(psi: np.ndarray, sigma: np.ndarray) -> Tuple[float, np.ndarray]:
+    """psi^dag sigma^-1 psi and sigma^-1 psi, sigma's eigenvalues floored."""
+    ws, vs = np.linalg.eigh(sigma)
+    x = vs @ ((vs.conj().T @ psi) / np.clip(ws, EIG_FLOOR, None))
+    return float(np.real(np.vdot(psi, x))), x
+
+
+def smax_lgr_pure(psi: np.ndarray, dic: StabilizerDictionary,
+                  config: RunConfig = DEFAULT_CONFIG) -> SmaxResult:
+    """S_max-to-set = log min_sigma psi^dag sigma^-1 psi over the hull (the
+    least lam with |psi><psi| <= lam sigma) and LGR = log(2 lam - 1).
+
+    f(w) = psi^dag sigma(w)^-1 psi is convex in the hull weights w with
+    df/dw_k = -|phi_k^dag sigma^-1 psi|^2, so Frank-Wolfe certifies the
+    bracket [max(f - gap, 1), f]; the values reported are the feasible upper
+    ends, and both gaps are bracket widths in the configured log units.
     """
-    d = dic.dim
-    K = len(dic.vectors)
-    mats = [np.outer(v, v.conj()) for v in dic.vectors]
-    # seed planes: eigenbasis of rho
-    _, vecs = np.linalg.eigh(rho)
-    planes = [vecs[:, i] for i in range(d)]
-    status = STATUS_LOWER
-    weights = np.zeros(K)
-    min_eig = -1.0
-    it = 0
-    for it in range(1, max_iter + 1):
-        m = len(planes)
-        W = np.zeros((m, K))
-        r = np.zeros(m)
-        for i, v in enumerate(planes):
-            W[i] = [abs(np.vdot(v, u)) ** 2 for u in dic.vectors]
-            r[i] = float(np.real(np.vdot(v, rho @ v)))
-        # equality form with surplus variables
-        A = np.hstack([W, -np.eye(m)])
-        c = np.concatenate([np.ones(K), np.zeros(m)])
-        sol = simplex.solve_lp(A, r, c)
-        weights = sol.x[:K]
-        M = sum(w * mat for w, mat in zip(weights, mats)) - rho
-        w_eigs, w_vecs = np.linalg.eigh(M)
-        min_eig = float(w_eigs[0])
-        if min_eig >= -1e-8:
-            status = STATUS_EXACT
-            break
-        # every violated eigenvector becomes a plane, not just the worst one
-        for i in range(d):
-            if w_eigs[i] < -1e-8:
-                planes.append(w_vecs[:, i])
-    lam = max(float(np.sum(weights)), 1.0)
-    return ConeResult(
-        s_max_set=log_value(lam, config),
-        lgr=log_value(max(2.0 * lam - 1.0, 1.0), config),
+    Phi = dic.matrix
+    weights, gap, it = _frank_wolfe(
+        Phi, lambda sigma: -np.abs(Phi.conj().T @ _fractional(psi, sigma)[1]) ** 2,
+        SMAX_GAP_TOL, SMAX_MAX_ITER,
+    )
+    lam = max(_fractional(psi, _mixture(Phi, weights))[0], 1.0)
+    low = max(lam - gap, 1.0)
+    s_max = log_value(lam, config)
+    lgr = log_value(2.0 * lam - 1.0, config)
+    return SmaxResult(
+        s_max_set=s_max,
+        lgr=lgr,
         lam=lam,
         weights=weights,
-        min_eig=min_eig,
-        status=status,
+        gap=s_max - log_value(low, config),
+        lgr_gap=lgr - log_value(2.0 * low - 1.0, config),
+        status=STATUS_EXACT if gap < SMAX_GAP_TOL else STATUS_UPPER,
         iterations=it,
     )
 
 
 # ---------------------------------------------------------------------------
-# Relative entropy of magic by Frank-Wolfe
+# Relative entropy of magic
 # ---------------------------------------------------------------------------
 
 @dataclass
@@ -219,9 +280,6 @@ class FwResult:
     status: str
     iterations: int
     sigma: np.ndarray
-
-
-EIG_FLOOR = 1e-12
 
 
 def _entropy_term_nat(rho: np.ndarray) -> float:
@@ -235,10 +293,6 @@ def _cross_term_nat(rho: np.ndarray, sigma: np.ndarray) -> float:
     ws = np.clip(ws, EIG_FLOOR, None)
     diag = np.real(np.einsum("ij,jk,ki->i", vs.conj().T, rho, vs))
     return -float(np.sum(diag * np.log(ws)))
-
-
-def _rel_entropy_nat(rho: np.ndarray, sigma: np.ndarray) -> float:
-    return _entropy_term_nat(rho) + _cross_term_nat(rho, sigma)
 
 
 def _gradient(rho: np.ndarray, sigma: np.ndarray) -> np.ndarray:
@@ -260,70 +314,17 @@ def rel_entropy_magic(rho: np.ndarray, dic: StabilizerDictionary,
                       config: RunConfig = DEFAULT_CONFIG,
                       max_iter: int = 10000,
                       gap_tol: float = 1e-6) -> FwResult:
-    """Frank-Wolfe minimization of S(rho || sigma) over the hull, started at
-    the maximally mixed state; returns a feasible (upper-estimate) value and
-    the convexity duality gap.
-
-    Away steps are used alongside the plain vertex steps (the hull is small
-    enough to carry explicit vertex weights), which restores fast convergence
-    when the optimum sits on a face; the reported gap is still the standard
-    Frank-Wolfe linearization gap, a certified optimality bound.
-    """
-    K = len(dic.vectors)
-    mats = [np.outer(v, v.conj()) for v in dic.vectors]
-    # uniform weights: the dictionary averages to the maximally mixed state
-    weights = np.full(K, 1.0 / K)
-    sigma = sum(w * m for w, m in zip(weights, mats))
-    gap = float("inf")
-    it = 0
-    for it in range(1, max_iter + 1):
-        G = _gradient(rho, sigma)
-        scores = np.array([float(np.real(np.trace(G @ m))) for m in mats])
-        fw = int(np.argmin(scores))
-        g_sigma = float(np.real(np.trace(G @ sigma)))
-        gap = g_sigma - scores[fw]
-        if gap < gap_tol:
-            break
-        active = np.nonzero(weights > 1e-15)[0]
-        away = int(active[np.argmax(scores[active])])
-        def try_step(direction: np.ndarray, t_max: float):
-            # the rho-entropy term is constant along the line
-            def line(t: float) -> float:
-                return _cross_term_nat(rho, sigma + t * direction)
-            res = scipy.optimize.minimize_scalar(
-                line, bounds=(0.0, t_max), method="bounded",
-                options={"xatol": 1e-12},
-            )
-            t = float(res.x)
-            if line(t) >= line(0.0):
-                return None
-            return t
-
-        fw_step = (g_sigma - scores[fw] >= scores[away] - g_sigma
-                   or weights[away] >= 1.0 - 1e-15)
-        t = None
-        if not fw_step:
-            t_max = weights[away] / (1.0 - weights[away])
-            t = try_step(sigma - mats[away], t_max)
-            if t is None:
-                fw_step = True  # away direction stalled, fall back
-        if fw_step:
-            t = try_step(mats[fw] - sigma, 1.0)
-            if t is None:
-                break
-            sigma = sigma + t * (mats[fw] - sigma)
-            weights = (1.0 - t) * weights
-            weights[fw] += t
-        else:
-            sigma = sigma + t * (sigma - mats[away])
-            weights = (1.0 + t) * weights
-            weights[away] -= t
-        weights = np.clip(weights, 0.0, None)
-        weights /= weights.sum()
+    """Frank-Wolfe minimization of S(rho || sigma) over the hull; returns a
+    feasible (upper-estimate) value and the certified duality gap."""
+    Phi = dic.matrix
+    weights, gap, it = _frank_wolfe(
+        Phi, lambda sigma: _expectations(Phi, _gradient(rho, sigma)), gap_tol, max_iter,
+    )
+    sigma = _mixture(Phi, weights)
     ln_b = math.log(config.base_value())
     return FwResult(
-        value=_rel_entropy_nat(rho, sigma) / ln_b,
-        gap=max(gap, 0.0) / ln_b,
+        value=(_entropy_term_nat(rho) + _cross_term_nat(rho, sigma)) / ln_b,
+        gap=gap / ln_b,
         status=STATUS_UPPER,
         iterations=it,
         sigma=sigma,
@@ -356,10 +357,10 @@ def distance_to_hull_lower(rho: np.ndarray, dic: StabilizerDictionary,
     Subgradient ascent on W -> Tr(W rho) - max_phi Tr(W phi) over the
     operator-norm ball ||W||_inf <= 1; any iterate's objective is a valid
     bound, the best one is returned with its witness."""
-    mats = [np.outer(v, v.conj()) for v in dic.vectors]
+    Phi = dic.matrix
 
     def objective(W: np.ndarray) -> float:
-        top = max(float(np.real(np.trace(W @ m))) for m in mats)
+        top = float(np.max(_expectations(Phi, W)))
         return float(np.real(np.trace(W @ rho))) - top
 
     def clip(W: np.ndarray) -> np.ndarray:
@@ -370,9 +371,8 @@ def distance_to_hull_lower(rho: np.ndarray, dic: StabilizerDictionary,
     best = max(0.0, objective(W))
     best_W = W
     for k in range(1, iterations + 1):
-        scores = [float(np.real(np.trace(W @ m))) for m in mats]
-        top = int(np.argmax(scores))
-        W = clip(W + (1.0 / math.sqrt(k)) * (rho - mats[top]))
+        top = int(np.argmax(_expectations(Phi, W)))
+        W = clip(W + (1.0 / math.sqrt(k)) * (rho - np.outer(Phi[:, top], Phi[:, top].conj())))
         val = objective(W)
         if val > best:
             best = val
@@ -508,31 +508,25 @@ def magic_report(rho: np.ndarray, dic: StabilizerDictionary,
                  config: RunConfig = DEFAULT_CONFIG) -> MagicReport:
     """Run the requested solvers on a density matrix.
 
-    LF is only computed for (numerically) pure inputs; mixed-state stabilizer
-    fidelity is deliberately not solved here, the certificate machinery covers
-    those uses.
+    LF, S_max-to-set and LGR are only computed for (numerically) pure
+    inputs and are None otherwise; the mixed-state versions are deliberately
+    not solved here, the certificate machinery covers those uses.
     """
     lf = s_rel = s_max_set = lgr = lr = None
-    if "lf" in measures:
-        w, v = np.linalg.eigh(rho)
-        if w[-1] > 1.0 - 1e-10:
-            val, _ = lf_pure(v[:, -1], dic, config)
-            lf = MeasureValue(value=val, status=STATUS_EXACT, gap=0.0)
+    w, v = np.linalg.eigh(rho)
+    psi = v[:, -1] if w[-1] > 1.0 - 1e-10 else None
+    if "lf" in measures and psi is not None:
+        val, _ = lf_pure(psi, dic, config)
+        lf = MeasureValue(value=val, status=STATUS_EXACT, gap=0.0)
     if "srel" in measures:
         fw = rel_entropy_magic(rho, dic, config)
         s_rel = MeasureValue(value=fw.value, status=fw.status, gap=fw.gap)
-    if "smax" in measures or "lgr" in measures:
-        cone = lgr_smax_cone(rho, dic, config)
+    if ("smax" in measures or "lgr" in measures) and psi is not None:
+        res = smax_lgr_pure(psi, dic, config)
         if "smax" in measures:
-            s_max_set = MeasureValue(
-                value=cone.s_max_set, status=cone.status,
-                gap=max(0.0, -cone.min_eig),
-            )
+            s_max_set = MeasureValue(value=res.s_max_set, status=res.status, gap=res.gap)
         if "lgr" in measures:
-            lgr = MeasureValue(
-                value=cone.lgr, status=cone.status,
-                gap=max(0.0, -cone.min_eig),
-            )
+            lgr = MeasureValue(value=res.lgr, status=res.status, gap=res.lgr_gap)
     if "lr" in measures:
         res = lr_lp(rho, dic, config)
         lr = MeasureValue(value=res.value, status=STATUS_EXACT, gap=res.gap)

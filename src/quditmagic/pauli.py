@@ -99,11 +99,6 @@ def commutation_exponent(P: PauliLabel, Q: PauliLabel) -> int:
     return r % P.q
 
 
-def character_value(P: PauliLabel, Q: PauliLabel) -> int:
-    """Exponent of chi_P(Q) = omega^r; multiplicative in Q."""
-    return commutation_exponent(P, Q)
-
-
 def order(P: PauliLabel) -> int:
     """Smallest delta with P^delta proportional to the identity."""
     d = 1

@@ -102,10 +102,6 @@ def trivial_group(q: int, n: int) -> StabilizerGroup:
     )
 
 
-def group_order(S: StabilizerGroup) -> int:
-    return S.order
-
-
 def independent_generators(S: StabilizerGroup) -> List[Tuple[PauliLabel, int]]:
     """Independent generators with their orders (divisor chain, trivial ones
     dropped); product of the orders equals |S|."""

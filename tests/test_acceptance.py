@@ -134,7 +134,8 @@ def test_criterion_02_rephasing_lemma():
 
 def test_criterion_03_monotone_chain():
     # LF <= S_rel <= S_max-to-set <= LGR <= LR within 1e-5 on 50 random pure
-    # states at (1, 2) and 50 at (1, 3), in under 2 min
+    # states at (1, 2) and 50 at (1, 3), with certified S_max/LGR brackets of
+    # width <= 1e-6, in under 2 min
     start = time.time()
     rng = np.random.default_rng(303)
     tol = 1e-5
@@ -147,13 +148,14 @@ def test_criterion_03_monotone_chain():
             rho = dense.density_of(psi)
             lf, _ = magic.lf_pure(psi, dic)
             fw = magic.rel_entropy_magic(rho, dic)
-            cone = magic.lgr_smax_cone(rho, dic)
+            sm = magic.smax_lgr_pure(psi, dic)
             lr = magic.lr_lp(rho, dic)
             chain = [
                 ("LF <= S_rel", lf, fw.value + tol),
-                ("S_rel <= S_max", fw.value - fw.gap, cone.s_max_set + tol),
-                ("S_max <= LGR", cone.s_max_set, cone.lgr + tol),
-                ("LGR <= LR", cone.lgr, lr.value + tol),
+                ("S_rel <= S_max", fw.value - fw.gap, sm.s_max_set + tol),
+                ("S_max <= LGR", sm.s_max_set, sm.lgr + tol),
+                ("LGR <= LR", sm.lgr, lr.value + tol),
+                ("S_max gap <= 1e-6", max(sm.gap, sm.lgr_gap), 1e-6),
             ]
             for name, lo, hi in chain:
                 if lo > hi:

@@ -72,17 +72,42 @@ def test_lr_zero_on_hull(dic12):
     assert abs(res.value) < 1e-9
 
 
+def hull_state(dic, weights):
+    return sum(w * np.outer(v, v.conj()) for w, v in zip(weights, dic.vectors))
+
+
 def test_cone_exact_on_t_state(dic12):
     rho = dense.density_of(t_state())
-    res = magic.lgr_smax_cone(rho, dic12)
-    assert res.status == magic.STATUS_EXACT
-    assert res.min_eig >= -1e-8
-    # the optimal mixture dominates rho
-    mats = [np.outer(v, v.conj()) for v in dic12.vectors]
-    M = sum(w * m for w, m in zip(res.weights, mats)) - rho
-    assert np.linalg.eigvalsh(M)[0] >= -1e-7
+    res = magic.smax_lgr_pure(t_state(), dic12)
+    assert res.gap <= 1e-6 and res.lgr_gap <= 1e-6
+    # the returned mixture dominates rho with the reported lambda
+    sigma = hull_state(dic12, res.weights)
+    assert np.linalg.eigvalsh(res.lam * sigma - rho)[0] >= -1e-7
+    # independent check of the upper value
+    assert abs(dense.max_relative_entropy(rho, sigma) - res.s_max_set) < 1e-8
     assert abs(res.lgr - math.log2(2 * res.lam - 1)) < 1e-12
     assert res.lgr <= res.s_max_set * 2 + 1e-12
+
+
+def clifford_image_of_tt():
+    H = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
+    S = np.diag([1, 1j])
+    tt = np.kron(t_state(), t_state())
+    return tt, np.kron(H, S) @ tt
+
+
+def test_smax_lgr_clifford_invariant_and_vanishing():
+    # the solver starts at the maximally mixed state, so its result does not
+    # depend on the Clifford frame of the input
+    dic22 = magic.build_dictionary(2, 2, RunConfig())
+    tt, image = clifford_image_of_tt()
+    a = magic.smax_lgr_pure(tt, dic22)
+    b = magic.smax_lgr_pure(image, dic22)
+    assert abs(a.s_max_set - b.s_max_set) < 1e-8
+    assert abs(a.lgr - b.lgr) < 1e-8
+    stab = np.kron(np.array([1, 1j]) / math.sqrt(2), np.array([1, 0]))
+    c = magic.smax_lgr_pure(stab.astype(complex), dic22)
+    assert abs(c.s_max_set) < 1e-6 and abs(c.lgr) < 1e-6
 
 
 def test_rel_entropy_t_state(dic12):
@@ -103,13 +128,14 @@ def test_monotone_chain_random_states(seed, dic12):
     rho = dense.density_of(psi)
     lf, _ = magic.lf_pure(psi, dic12)
     fw = magic.rel_entropy_magic(rho, dic12)
-    cone = magic.lgr_smax_cone(rho, dic12)
+    sm = magic.smax_lgr_pure(psi, dic12)
     lr = magic.lr_lp(rho, dic12)
     tol = 1e-5
+    assert sm.gap <= 1e-6 and sm.lgr_gap <= 1e-6
     assert lf <= fw.value + tol
-    assert fw.value - fw.gap <= cone.s_max_set + tol
-    assert cone.s_max_set <= cone.lgr + tol
-    assert cone.lgr <= lr.value + tol
+    assert fw.value - fw.gap <= sm.s_max_set + tol
+    assert sm.s_max_set <= sm.lgr + tol
+    assert sm.lgr <= lr.value + tol
 
 
 def test_distance_to_sps_bell():
@@ -196,6 +222,6 @@ def test_magic_report_selection(dic12):
     assert rep.s_rel is None and rep.s_max_set is None and rep.lgr is None
     assert abs(rep.lf.value - T_LF) < 1e-9
     assert abs(rep.lr.value - 0.5) < 1e-8
-    # mixed input: lf is skipped
-    rep2 = magic.magic_report(np.eye(2) / 2, dic12, measures=("lf",))
-    assert rep2.lf is None
+    # mixed input: lf, smax and lgr are skipped
+    rep2 = magic.magic_report(np.eye(2) / 2, dic12, measures=("lf", "smax", "lgr"))
+    assert rep2.lf is None and rep2.s_max_set is None and rep2.lgr is None

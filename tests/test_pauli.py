@@ -137,7 +137,7 @@ def test_phase_shift_and_character():
         pauli.to_dense(Q), np.exp(1j * np.pi * 2 / 3) * pauli.to_dense(P)
     )
     X = pauli.label(3, 1, [0], [1], 0)
-    assert pauli.character_value(P, X) == 1
+    assert pauli.commutation_exponent(P, X) == 1
 
 
 def test_known_single_qubit_matrices():
