@@ -236,10 +236,11 @@ def cmd_witness(args, config: RunConfig) -> int:
     q, n, psi = _load_state(args.state)
     A = _parse_region(args.regionA)
     B = _parse_region(args.regionB)
-    rho = dense.density_of(psi)
     if args.witness_cmd == "mi":
         try:
-            verdict = witness.mi_forbidden_window(rho, q, n, A, B, args.tol, config)
+            verdict = witness.mi_forbidden_window(
+                dense.density_of(psi), q, n, A, B, args.tol, config
+            )
         except dense.OverlappingRegions as exc:
             raise UsageError(str(exc))
         _emit(config, {

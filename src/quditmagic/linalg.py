@@ -8,8 +8,6 @@ exact arithmetic (plain Python integers).
 
 from typing import List, Optional, Sequence, Tuple
 
-import sympy
-
 Matrix = List[List[int]]
 
 
@@ -44,10 +42,12 @@ def vec_mat(v: Sequence[int], A: Matrix) -> List[int]:
 
 
 def mat_inverse_unimodular(V: Matrix) -> Matrix:
-    """Exact inverse of a unimodular integer matrix."""
-    M = sympy.Matrix(V)
-    inv = M.inv()
-    return [[int(inv[i, j]) for j in range(inv.cols)] for i in range(inv.rows)]
+    """Exact inverse of a unimodular integer matrix.
+
+    Its Smith normal form U V W is the identity, so V^-1 = W U.
+    """
+    U, _, W = smith_normal_form(V)
+    return mat_mul(W, U)
 
 
 def smith_normal_form(A: Matrix) -> Tuple[Matrix, Matrix, Matrix]:

@@ -5,17 +5,17 @@ Galois ring GR(p^r, n) with Frobenius, trace and trace-dual bases.  The ring
 is represented as Z_{p^r}[x]/(h) where h is the Hensel lift of the
 lexicographically smallest monic degree-n irreducible factor of
 x^{p^n - 1} - 1 over F_p; the class of x is then a Teichmuller element.
-For n = 1 the convention h = x - 1 makes GR(p^r, 1) = Z_{p^r} with the
-trace equal to the identity.
+The irreducible is found by trial division by every monic polynomial of
+degree <= n/2, and the lift by a search one power of p at a time: of the
+p^n monic corrections h + p^k d, exactly one divides x^{p^n - 1} - 1
+modulo p^{k+1}.  For n = 1 the convention h = x - 1 makes
+GR(p^r, 1) = Z_{p^r} with the trace equal to the identity.
 """
 
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
-import sympy
-from sympy.polys.domains import ZZ
-from sympy.polys.factortools import dup_zz_hensel_lift
-from sympy.polys.galoistools import gf_irreducible_p
+from . import linalg
 
 
 class InvalidModulus(ValueError):
@@ -50,9 +50,19 @@ def factorize(q: int) -> Modulus:
     """Canonical factorization of the qudit dimension."""
     if q < 2:
         raise InvalidModulus("modulus must be >= 2, got %r" % (q,))
-    fac = sympy.factorint(q)
-    factors = tuple(sorted((int(p), int(r)) for p, r in fac.items()))
-    return Modulus(q=q, factors=factors)
+    factors = []
+    rest, p = q, 2
+    while p * p <= rest:
+        r = 0
+        while rest % p == 0:
+            rest //= p
+            r += 1
+        if r:
+            factors.append((p, r))
+        p += 1
+    if rest > 1:
+        factors.append((rest, 1))
+    return Modulus(q=q, factors=tuple(factors))
 
 
 def crt_split(a: int, m: Modulus) -> Tuple[int, ...]:
@@ -320,16 +330,15 @@ def dual_basis(basis: Sequence[RingElement]) -> List[RingElement]:
     n = ring.n
     if len(basis) != n:
         raise NotABasis("expected %d basis elements" % n)
-    gram = sympy.Matrix(
-        [[trace(ring_mul(basis[i], basis[j])) for j in range(n)] for i in range(n)]
-    )
-    det = int(gram.det())
+    gram = [[trace(ring_mul(basis[i], basis[j])) for j in range(n)] for i in range(n)]
+    # U G V = S diagonal, so G^-1 = V S^-1 U modulo p^r.
+    U, S, V = linalg.smith_normal_form(gram)
     m = ring.modulus
-    if det % ring.p == 0:
+    diag = linalg.snf_diagonal(S)
+    if any(d % ring.p == 0 for d in diag):
         raise NotABasis("Gram matrix singular modulo p^r")
-    det_inv = pow(det % m, -1, m)
-    adj = gram.adjugate()
-    inv = [[(det_inv * int(adj[i, j])) % m for j in range(n)] for i in range(n)]
+    SinvU = [[pow(d, -1, m) * x for x in row] for d, row in zip(diag, U)]
+    inv = [[x % m for x in row] for row in linalg.mat_mul(V, SinvU)]
     dual = []
     for j in range(n):
         acc = ring.zero()
@@ -350,21 +359,25 @@ def power_basis(ring: GaloisRing) -> List[RingElement]:
 def _smallest_irreducible(p: int, n: int) -> List[int]:
     """Lexicographically smallest (by ascending coefficient tuple) monic
     irreducible degree-n polynomial over F_p."""
+    divisors = [_monic(idx, p, d) for d in range(1, n // 2 + 1) for idx in range(p ** d)]
     for idx in range(p ** n):
-        coeffs = []
-        t = idx
-        for _ in range(n):
-            coeffs.append(t % p)
-            t //= p
-        poly = coeffs + [1]
-        dense_desc = list(reversed(poly))
-        if gf_irreducible_p([ZZ(c) for c in dense_desc], p, ZZ):
+        poly = _monic(idx, p, n)
+        if all(_poly_divmod_fp(poly, f, p)[1] for f in divisors):
             return poly
     raise ArithmeticError("no irreducible polynomial found")
 
 
+def _monic(idx: int, base: int, n: int) -> List[int]:
+    """Monic degree-n polynomial whose lower coefficients are idx base `base`."""
+    coeffs = []
+    for _ in range(n):
+        coeffs.append(idx % base)
+        idx //= base
+    return coeffs + [1]
+
+
 def construct_galois_ring(p: int, r: int, n: int) -> GaloisRing:
-    if not sympy.isprime(p):
+    if p < 2 or factorize(p).factors != ((p, 1),):
         raise InvalidPrime("p must be prime, got %r" % (p,))
     if r < 1 or n < 1:
         raise InvalidPrime("exponent and degree must be >= 1")
@@ -374,20 +387,17 @@ def construct_galois_ring(p: int, r: int, n: int) -> GaloisRing:
     h0 = _smallest_irreducible(p, n)
     if r == 1:
         return GaloisRing(p=p, r=1, n=n, h=tuple(h0))
-    # Hensel-lift h0 inside x^(p^n - 1) - 1 from mod p to mod p^r.
-    order = p ** n - 1
-    big = [0] * (order + 1)
-    big[0] = -1
-    big[order] = 1
-    big_desc = [ZZ(c) for c in reversed(big)]
-    h0_desc = [ZZ(c) for c in reversed(h0)]
-    cof_asc, rem = _poly_divmod_fp(big, h0, p)
-    if rem:
-        raise ArithmeticError("irreducible factor does not divide x^(p^n-1)-1")
-    cof_desc = [ZZ(c) for c in reversed(cof_asc)]
-    lifted = dup_zz_hensel_lift(p, big_desc, [h0_desc, cof_desc], r, ZZ)
-    h_desc = lifted[0]
-    h = [int(c) % m for c in reversed(h_desc)]
-    if [c % p for c in h] != [c % p for c in h0]:
-        raise ArithmeticError("Hensel lift did not preserve the mod-p factor")
+    # Hensel-lift h0 inside x^(p^n - 1) - 1 one power of p at a time: the
+    # monic lift modulo p^(k+1) is unique, so exactly one correction works.
+    big = [-1] + [0] * (p ** n - 2) + [1]
+    h = h0
+    for k in range(1, r):
+        pk = p ** k
+        for idx in range(p ** n):
+            cand = [a + pk * d for a, d in zip(h[:-1], _monic(idx, p, n))] + [1]
+            if not _poly_rem(big, cand, pk * p):
+                h = cand
+                break
+        else:
+            raise ArithmeticError("no Hensel lift of the irreducible factor")
     return GaloisRing(p=p, r=r, n=n, h=tuple(h))

@@ -401,7 +401,8 @@ def enumerate_stabilizer_groups(
     target = q ** n if pure_only else None
     count = 0
     for rows in isotropic_lattices(q, n):
-        if target is not None and linalg.subgroup_order(rows, q, 2 * n) != target:
+        order = linalg.subgroup_order(rows, q, 2 * n)
+        if target is not None and order != target:
             continue
         if not rows:
             count += 1
@@ -418,8 +419,8 @@ def enumerate_stabilizer_groups(
                 continue
             g = product_label(base, crow)
             ind.append((_consistent_base_phase(g, d), d))
-        gens0 = [g for g, _ in ind]
         deltas = [d for _, d in ind]
+        key = linalg.lattice_key(rows, q, 2 * n)
         for shifts in itertools.product(*(range(d) for d in deltas)):
             gens = [
                 pauli.phase_shifted(g, (2 * q // d) * t)
@@ -432,8 +433,8 @@ def enumerate_stabilizer_groups(
                 q=q,
                 n=n,
                 gens=tuple(gens),
-                order=linalg.subgroup_order(rows, q, 2 * n),
-                key=linalg.lattice_key(rows, q, 2 * n),
+                order=order,
+                key=key,
             )
 
 

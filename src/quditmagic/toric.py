@@ -14,6 +14,7 @@ rule all generators commute for every q.
 """
 
 import cmath
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -138,11 +139,13 @@ def ground_state(code: ToricCode, sector: Tuple[int, int] = (0, 0),
     """Dense ground-state vector of the sector, built by sequentially
     projecting a basis seed onto the +1 eigenspace of each independent
     generator (vector-level, no dense matrices)."""
-    lat = code.lattice
-    q = lat.q
-    n = lat.n_edges
-    dim = q ** n
-    check_dense(dim, config)
+    check_dense(code.lattice.q ** code.lattice.n_edges, config)
+    return _ground_vector(code, tuple(sector)).copy()
+
+
+@functools.lru_cache(maxsize=8)
+def _ground_vector(code: ToricCode, sector: Tuple[int, int]) -> np.ndarray:
+    dim = code.lattice.q ** code.lattice.n_edges
     S = ground_group(code, sector)
     ind = stabilizer.independent_generators(S)
     for seed in range(dim):

@@ -104,6 +104,26 @@ def random_two_site_gate(rng: np.random.Generator, q: int) -> np.ndarray:
     return u * (np.diag(r) / np.abs(np.diag(r)))
 
 
+def _pure_entropy(psi: np.ndarray, q: int, n: int, region: Sequence[int],
+                  config: RunConfig) -> float:
+    """Entropy of the reduced state of a pure psi on region: the spectrum of
+    M M^dag, M being psi reshaped to (region) x (rest).  The smaller of the
+    two Gram matrices is used; their nonzero spectra agree."""
+    axes = [n - 1 - s for s in region]  # site s is axis n - 1 - s
+    rest = [a for a in range(n) if a not in axes]
+    M = np.transpose(np.reshape(psi, [q] * n), axes + rest).reshape(q ** len(axes), -1)
+    if M.shape[0] > M.shape[1]:
+        M = M.T
+    return dense.vn_entropy(M @ M.conj().T, config)
+
+
+def _pure_mutual_information(psi: np.ndarray, q: int, n: int, A: Sequence[int],
+                             B: Sequence[int], config: RunConfig) -> float:
+    """I(A:B) of a pure state without forming any q^n x q^n matrix."""
+    return (_pure_entropy(psi, q, n, A, config) + _pure_entropy(psi, q, n, B, config)
+            - _pure_entropy(psi, q, n, sorted(set(A) | set(B)), config))
+
+
 def mi_stability_check(psi: np.ndarray, q: int, n: int, depth: int,
                        A: Sequence[int], B: Sequence[int],
                        rng: np.random.Generator = None,
@@ -126,13 +146,11 @@ def mi_stability_check(psi: np.ndarray, q: int, n: int, depth: int,
             gates[(layer, left)] = random_two_site_gate(rng, q)
         return gates[(layer, left)]
 
-    rho0 = dense.density_of(psi)
     evolved = dense.apply_brickwork(psi, q, n, depth, supplier)
-    rho1 = dense.density_of(evolved)
-    i_mid = dense.mutual_information(rho1, q, n, A, B, config)
-    i_plus = dense.mutual_information(rho0, q, n, Ap, Bp, config)
+    i_mid = _pure_mutual_information(evolved, q, n, A, B, config)
+    i_plus = _pure_mutual_information(psi, q, n, Ap, Bp, config)
     if Am and Bm:
-        i_minus = dense.mutual_information(rho0, q, n, Am, Bm, config)
+        i_minus = _pure_mutual_information(psi, q, n, Am, Bm, config)
     else:
         i_minus = 0.0
     slack = min(i_mid - i_minus, i_plus - i_mid)

@@ -1,9 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import quditmagic
 from quditmagic import cli, dense, pauli, stabilizer
 
 
@@ -31,6 +35,15 @@ def t_state_path(tmp_path):
     return write_state(
         tmp_path, 2, 1, [math.cos(math.pi / 8), math.sin(math.pi / 8)]
     )
+
+
+def test_cli_import_does_not_load_sympy():
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(quditmagic.__file__)))
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, quditmagic.cli; print('sympy' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.strip() == "False"
 
 
 def test_cover_report(capsys):

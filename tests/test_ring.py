@@ -34,11 +34,63 @@ def test_crt_combine_length_check():
         ring.crt_combine([1], m)
 
 
+def test_factorize_primes_and_prime_powers():
+    assert ring.factorize(2).factors == ((2, 1),)
+    assert ring.factorize(243).factors == ((3, 5),)
+    assert ring.factorize(97 * 97 * 89).factors == ((89, 1), (97, 2))
+    assert ring.factorize(2 ** 10 * 7919).factors == ((2, 10), (7919, 1))
+
+
 def test_construct_rejects_bad_parameters():
-    with pytest.raises(ring.InvalidPrime):
-        ring.construct_galois_ring(4, 1, 1)
+    for p in (4, 9, 1, 0, -3):
+        with pytest.raises(ring.InvalidPrime):
+            ring.construct_galois_ring(p, 1, 1)
     with pytest.raises(ring.InvalidPrime):
         ring.construct_galois_ring(2, 0, 1)
+
+
+# h of GR(p^r, n), ascending coefficients, as computed by the earlier
+# construction that took the irreducible and its Hensel lift from a
+# computer-algebra library.
+PINNED_H = {
+    (2, 1, 2): (1, 1, 1),
+    (2, 2, 2): (1, 1, 1),
+    (2, 3, 2): (1, 1, 1),
+    (2, 1, 3): (1, 1, 0, 1),
+    (2, 2, 3): (3, 1, 2, 1),
+    (2, 3, 3): (7, 5, 6, 1),
+    (3, 1, 2): (1, 0, 1),
+    (3, 2, 2): (1, 0, 1),
+    (3, 3, 2): (1, 0, 1),
+    (3, 1, 3): (1, 2, 0, 1),
+    (3, 2, 3): (1, 2, 3, 1),
+    (3, 3, 3): (1, 20, 12, 1),
+    (5, 1, 2): (2, 0, 1),
+    (5, 2, 2): (7, 0, 1),
+    (5, 3, 2): (57, 0, 1),
+    (5, 1, 3): (1, 1, 0, 1),
+    (5, 2, 3): (1, 6, 20, 1),
+    (5, 3, 3): (1, 6, 70, 1),
+    (7, 1, 2): (1, 0, 1),
+    (7, 2, 2): (1, 0, 1),
+    (7, 3, 2): (1, 0, 1),
+    (7, 1, 3): (2, 0, 0, 1),
+    (7, 2, 3): (30, 0, 0, 1),
+    (7, 3, 3): (324, 0, 0, 1),
+    (2, 4, 4): (1, 3, 14, 12, 1),
+    (2, 3, 5): (7, 2, 7, 4, 0, 1),
+    (3, 3, 4): (26, 19, 12, 3, 1),
+    (5, 2, 4): (7, 0, 0, 0, 1),
+    (7, 4, 2): (1, 0, 1),
+    (11, 2, 2): (1, 0, 1),
+    (13, 3, 2): (418, 0, 1),
+    (3, 4, 1): (80, 1),
+}
+
+
+@pytest.mark.parametrize("p,r,n", sorted(PINNED_H))
+def test_galois_ring_modulus_pinned(p, r, n):
+    assert ring.construct_galois_ring(p, r, n).h == PINNED_H[(p, r, n)]
 
 
 @pytest.mark.parametrize("p,r,n", SMALL_RINGS)

@@ -87,6 +87,34 @@ def test_sandwich_random_circuit(depth):
     assert rep.i_evolved <= rep.i_grown + 1e-8
 
 
+@pytest.mark.parametrize("q,n,depth,A,B", [
+    (2, 6, 1, [0, 1], [4, 5]), (2, 6, 2, [0], [5]), (3, 4, 1, [0], [3]),
+])
+def test_sandwich_matches_dense_density_route(q, n, depth, A, B):
+    # the reduced states of the pure state agree with partial traces of the
+    # full q^n x q^n density matrices, evolved under the same gates
+    rng = np.random.default_rng(3)
+    v = rng.normal(size=q ** n) + 1j * rng.normal(size=q ** n)
+    v /= np.linalg.norm(v)
+    rep = witness.mi_stability_check(v, q, n, depth, A, B, rng=np.random.default_rng(8))
+    gate_rng = np.random.default_rng(8)
+    gates = {}
+
+    def supplier(layer, left):
+        if (layer, left) not in gates:
+            gates[(layer, left)] = witness.random_two_site_gate(gate_rng, q)
+        return gates[(layer, left)]
+
+    rho0 = dense.density_of(v)
+    rho1 = dense.density_of(dense.apply_brickwork(v, q, n, depth, supplier))
+    grow = [witness._thicken(R, depth, n) for R in (A, B)]
+    shrink = [witness._shrink(R, depth, n) for R in (A, B)]
+    i_minus = dense.mutual_information(rho0, q, n, *shrink) if all(shrink) else 0.0
+    assert abs(rep.i_evolved - dense.mutual_information(rho1, q, n, A, B)) < 1e-12
+    assert abs(rep.i_grown - dense.mutual_information(rho0, q, n, *grow)) < 1e-12
+    assert abs(rep.i_shrunk - i_minus) < 1e-12
+
+
 def test_sandwich_rejects_overlapping_thickened():
     v = np.zeros(4, dtype=complex)
     v[0] = 1.0
