@@ -172,20 +172,22 @@ def hermite_normal_form(A: Matrix) -> Matrix:
     return [r for r in M[:row] if any(r)]
 
 
-def lattice_key(rows: Sequence[Sequence[int]], q: int, n: int) -> Tuple[Tuple[int, ...], ...]:
-    """Canonical key of the subgroup of Z_q^n generated by the given rows."""
-    stacked = [list(r) for r in rows] + [
+def stack_q(rows: Sequence[Sequence[int]], q: int, n: int) -> Matrix:
+    """The rows followed by q*I_n: their row lattice is the preimage in Z^n of
+    the subgroup of Z_q^n that the rows generate."""
+    return [list(r) for r in rows] + [
         [q if i == j else 0 for j in range(n)] for i in range(n)
     ]
-    return tuple(tuple(r) for r in hermite_normal_form(stacked))
+
+
+def lattice_key(rows: Sequence[Sequence[int]], q: int, n: int) -> Tuple[Tuple[int, ...], ...]:
+    """Canonical key of the subgroup of Z_q^n generated by the given rows."""
+    return tuple(tuple(r) for r in hermite_normal_form(stack_q(rows, q, n)))
 
 
 def subgroup_order(rows: Sequence[Sequence[int]], q: int, n: int) -> int:
     """Order of the subgroup of Z_q^n generated by the rows."""
-    stacked = [list(r) for r in rows] + [
-        [q if i == j else 0 for j in range(n)] for i in range(n)
-    ]
-    _, S, _ = smith_normal_form(stacked)
+    _, S, _ = smith_normal_form(stack_q(rows, q, n))
     det = 1
     for d in snf_diagonal(S):
         det *= d
@@ -200,14 +202,25 @@ def solve_left_mod(A: Matrix, v: Sequence[int], q: int) -> Optional[List[int]]:
     """
     k = len(A)
     n = len(A[0]) if k else len(v)
-    stacked = [list(r) for r in A] + [
-        [q if i == j else 0 for j in range(n)] for i in range(n)
-    ]
-    U, S, V = smith_normal_form(stacked)
+    U, S, V = smith_normal_form(stack_q(A, q, n))
+    return solve_left_snf(U, snf_diagonal(S), V, v, k)
+
+
+def solve_left_snf(
+    U: Sequence[Sequence[int]],
+    diag: Sequence[int],
+    V: Sequence[Sequence[int]],
+    v: Sequence[int],
+    k: int,
+) -> Optional[List[int]]:
+    """solve_left_mod for a k-row A, given the SNF  U*stack_q(A)*V  (diagonal
+    diag), so that one factorization serves many right-hand sides.  Only the
+    first n = len(diag) rows and first k columns of U are read."""
+    n = len(diag)
     vv = vec_mat(list(v), V)
-    w = [0] * (k + n)
+    w = [0] * n
     for i in range(n):
-        d = S[i][i]
+        d = diag[i]
         if d == 0:
             if vv[i] != 0:
                 return None
@@ -226,10 +239,7 @@ def left_kernel_mod(A: Matrix, q: int) -> List[List[int]]:
     """
     k = len(A)
     n = len(A[0]) if k else 0
-    stacked = [list(r) for r in A] + [
-        [q if i == j else 0 for j in range(n)] for i in range(n)
-    ]
-    U, S, _ = smith_normal_form(stacked)
+    U, S, _ = smith_normal_form(stack_q(A, q, n))
     rank = sum(1 for d in snf_diagonal(S) if d != 0)
     gens = [row[:k] for row in U[rank:]]
     return [g for g in gens if any(g)]

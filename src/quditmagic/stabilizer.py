@@ -7,8 +7,26 @@ stabilizer groups, information-convex extreme points and Pauli re-phasing.
 All group-theoretic questions reduce to integer lattice problems on the
 stacked exponent matrix augmented with q*I rows; Smith/Hermite normal forms
 over Z handle composite q uniformly.
+
+Those lattice problems see only the exponent rows (a|b) of the generators,
+never their phase exponents c, and the phase of a product is affine in the
+c's: compose, power and inverse are each linear in c, so
+
+    phase(prod_i g_i^{x_i}) = base(rows, x) + sum_i x_i c_i   (mod 2q),
+
+where base(rows, x) is the phase of the same product with every c_i set to
+0.  validate, supported_subgroup and expectation_exponent therefore split
+into phase-free lattice data (kernels, relations with their base phases,
+commutation verdict, order, key, SNF factors) and integer dot products with
+the generators' phases.  supported_subgroup and expectation_exponent keep
+the phase-free part in small fixed-size LRU memos keyed on (q, exponent
+rows[, region]) with tuple values, so the many groups that share a lattice
+and differ only in phases (all phase assignments of one lattice, the
+repeated braiding queries on one toric ground group) factorize it once; the
+phase checks still run on every call.
 """
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -64,6 +82,47 @@ def product_label(gens: Sequence[PauliLabel], coeffs: Sequence[int]) -> PauliLab
     return out
 
 
+def _rows_key(gens: Sequence[PauliLabel]) -> Tuple[Tuple[int, ...], ...]:
+    return tuple(g.a + g.b for g in gens)
+
+
+def _lattice_data(q: int, n: int, rows: Tuple[Tuple[int, ...], ...]) -> Tuple:
+    """Phase-free part of validate for generators with these exponent rows:
+    (first non-commuting pair or None, relations with their base phases,
+    order, key)."""
+    for i in range(len(rows)):
+        for j in range(i + 1, len(rows)):
+            if _symplectic_product(rows[i], rows[j], n, q) != 0:
+                return (i, j), (), 0, ()
+    zero = [pauli.label(q, n, r[:n], r[n:], 0) for r in rows]
+    relations = tuple(
+        (tuple(rel), product_label(zero, rel).c)
+        for rel in linalg.left_kernel_mod(rows, q)
+    )
+    return (
+        None,
+        relations,
+        linalg.subgroup_order(rows, q, 2 * n),
+        linalg.lattice_key(rows, q, 2 * n),
+    )
+
+
+def _checked_group(q: int, n: int, gens: Tuple[PauliLabel, ...], data: Tuple) -> StabilizerGroup:
+    """The group of gens, after the commutation and phase checks of validate;
+    data is _lattice_data of their rows."""
+    pair, relations, order, key = data
+    if pair is not None:
+        raise NonCommutingPair(*pair)
+    phases = [g.c for g in gens]
+    for rel, base in relations:
+        c = (base + sum(x * p for x, p in zip(rel, phases))) % (2 * q)
+        if c != 0:
+            raise InconsistentPhase(
+                "relation %r yields a nontrivial phase omega_{2q}^%d" % (list(rel), c)
+            )
+    return StabilizerGroup(q=q, n=n, gens=gens, order=order, key=key)
+
+
 def validate(tableau: Sequence[PauliLabel]) -> StabilizerGroup:
     """Check commutation and phase consistency, compute order and key."""
     if not tableau:
@@ -72,33 +131,19 @@ def validate(tableau: Sequence[PauliLabel]) -> StabilizerGroup:
     for g in tableau:
         if g.q != q or g.n != n:
             raise pauli.ShapeMismatch("mixed (n, q) in tableau")
-    for i in range(len(tableau)):
-        for j in range(i + 1, len(tableau)):
-            if pauli.commutation_exponent(tableau[i], tableau[j]) != 0:
-                raise NonCommutingPair(i, j)
-    rows = [pauli.symplectic_vector(g) for g in tableau]
-    for rel in linalg.left_kernel_mod(rows, q):
-        prod = product_label(tableau, rel)
-        if prod.c != 0:
-            raise InconsistentPhase(
-                "relation %r yields a nontrivial phase omega_{2q}^%d" % (rel, prod.c)
-            )
-    return StabilizerGroup(
-        q=q,
-        n=n,
-        gens=tuple(tableau),
-        order=linalg.subgroup_order(rows, q, 2 * n),
-        key=linalg.lattice_key(rows, q, 2 * n),
-    )
+    gens = tuple(tableau)
+    return _checked_group(q, n, gens, _lattice_data(q, n, _rows_key(gens)))
 
 
 def trivial_group(q: int, n: int) -> StabilizerGroup:
+    # the key of the zero subgroup: q*I is already in Hermite normal form
+    m = 2 * n
     return StabilizerGroup(
         q=q,
         n=n,
         gens=(),
         order=1,
-        key=linalg.lattice_key([], q, 2 * n),
+        key=tuple(tuple(q if i == j else 0 for j in range(m)) for i in range(m)),
     )
 
 
@@ -138,6 +183,19 @@ def member(S: StabilizerGroup, P: PauliLabel) -> str:
     return MEMBER_PHASE_MATCH if exp == 0 else MEMBER_UP_TO_PHASE
 
 
+@functools.lru_cache(maxsize=16)
+def _stacked_snf(q: int, rows: Tuple[Tuple[int, ...], ...]) -> Tuple:
+    """(U, diag, V) of the SNF of the rows stacked on q*I, as solve_left_snf
+    reads them: only the first 2n rows of U, cut to the first k columns."""
+    k, m = len(rows), len(rows[0])
+    U, D, V = linalg.smith_normal_form(linalg.stack_q(rows, q, m))
+    return (
+        tuple(tuple(row[:k]) for row in U[:m]),
+        tuple(linalg.snf_diagonal(D)),
+        tuple(tuple(row) for row in V),
+    )
+
+
 def expectation_exponent(S: StabilizerGroup, P: PauliLabel) -> Optional[int]:
     """If P = omega_{2q}^e * s for s in S, return e mod 2q, else None.
 
@@ -148,8 +206,9 @@ def expectation_exponent(S: StabilizerGroup, P: PauliLabel) -> Optional[int]:
         if any(P.a) or any(P.b):
             return None
         return P.c
-    rows = S.exponent_rows()
-    x = linalg.solve_left_mod(rows, pauli.symplectic_vector(P), S.q)
+    rows = _rows_key(S.gens)
+    U, diag, V = _stacked_snf(S.q, rows)
+    x = linalg.solve_left_snf(U, diag, V, pauli.symplectic_vector(P), len(rows))
     if x is None:
         return None
     s = product_label(S.gens, x)
@@ -165,26 +224,45 @@ def _outside_columns(n: int, region: Sequence[int]) -> List[int]:
     return cols
 
 
+@functools.lru_cache(maxsize=64)
+def _supported_data(
+    q: int, n: int, rows: Tuple[Tuple[int, ...], ...], cols: Tuple[int, ...]
+) -> Tuple:
+    """Phase-free part of supported_subgroup for generators with these rows
+    and the given outside columns: the kernel combinations x whose product
+    has a nonzero symplectic part, as (x, a, b, base phase), and the
+    _lattice_data of those products."""
+    if cols:
+        kernel = linalg.left_kernel_mod([[row[c] for c in cols] for row in rows], q)
+    else:
+        kernel = linalg.identity_matrix(len(rows))
+    zero = [pauli.label(q, n, r[:n], r[n:], 0) for r in rows]
+    combos = []
+    for x in kernel:
+        g = product_label(zero, x)
+        if any(g.a) or any(g.b):
+            combos.append((tuple(x), g.a, g.b, g.c))
+    if not combos:
+        return (), None
+    return tuple(combos), _lattice_data(q, n, tuple(a + b for _, a, b, _ in combos))
+
+
 def supported_subgroup(S: StabilizerGroup, region: Sequence[int]) -> StabilizerGroup:
     """Subgroup of elements whose symplectic vector vanishes outside region."""
     if not S.gens:
         return trivial_group(S.q, S.n)
-    cols = _outside_columns(S.n, region)
-    rows = S.exponent_rows()
-    outside = [[row[c] for c in cols] for row in rows]
-    gens = []
-    seen_keys = set()
-    if cols:
-        kernel = linalg.left_kernel_mod(outside, S.q)
-    else:
-        kernel = [[1 if i == j else 0 for j in range(len(rows))] for i in range(len(rows))]
-    for x in kernel:
-        g = product_label(S.gens, x)
-        if any(g.a) or any(g.b):
-            gens.append(g)
-    if not gens:
-        return trivial_group(S.q, S.n)
-    return validate(gens)
+    q, n = S.q, S.n
+    combos, data = _supported_data(
+        q, n, _rows_key(S.gens), tuple(_outside_columns(n, region))
+    )
+    if not combos:
+        return trivial_group(q, n)
+    phases = [g.c for g in S.gens]
+    gens = tuple(
+        PauliLabel(q, n, a, b, (base + sum(xi * c for xi, c in zip(x, phases))) % (2 * q))
+        for x, a, b, base in combos
+    )
+    return _checked_group(q, n, gens, data)
 
 
 def locally_generated(S: StabilizerGroup, balls: Sequence[Sequence[int]]) -> StabilizerGroup:

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from quditmagic import pauli, stabilizer
+from quditmagic import linalg, pauli, stabilizer
 from quditmagic.config import RunConfig, BudgetExceeded
 
 
@@ -115,6 +115,106 @@ def test_supported_subgroup():
     sub = stabilizer.supported_subgroup(S2, [1])
     assert sub.order == 2
     assert stabilizer.member(sub, lbl(2, 2, [0, 1], [0, 0])) == stabilizer.MEMBER_PHASE_MATCH
+
+
+def _supported_elements(S, region):
+    """Oracle: the elements of S whose exponents vanish outside region."""
+    outside = [i for i in range(S.n) if i not in region]
+    return {
+        e for e in stabilizer.elements(S)
+        if not any(e.a[i] or e.b[i] for i in outside)
+    }
+
+
+def _groups_for_oracle():
+    yield from stabilizer.enumerate_stabilizer_groups(2, 2)
+    yield from stabilizer.enumerate_stabilizer_groups(2, 3)
+    groups6 = list(stabilizer.enumerate_stabilizer_groups(2, 6))
+    rng = np.random.default_rng(2024)
+    for idx in sorted(rng.choice(len(groups6), size=300, replace=False)):
+        yield groups6[idx]
+
+
+def test_supported_subgroup_matches_element_oracle():
+    # every group at (n,q) = (2,2), (2,3) and a seeded sample at (2,6):
+    # the subgroup's elements, phases included, are exactly those of S
+    # supported in the region
+    count = 0
+    for S in _groups_for_oracle():
+        for region in ([0], [1], [0, 1]):
+            sub = stabilizer.supported_subgroup(S, region)
+            els = list(stabilizer.elements(sub))
+            assert len(els) == sub.order
+            assert set(els) == _supported_elements(S, region)
+            assert sub.key == linalg.lattice_key(
+                [pauli.symplectic_vector(g) for g in sub.gens], S.q, 2 * S.n
+            )
+        count += 1
+    assert count == 91 + 481 + 300
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_expectation_exponent_matches_element_lookup(q):
+    paulis = [
+        lbl(q, 2, v[:2], v[2:], c)
+        for v in itertools.product(range(q), repeat=4)
+        for c in range(2 * q)
+    ]
+    for S in stabilizer.enumerate_stabilizer_groups(2, q):
+        phase_of = {(e.a, e.b): e.c for e in stabilizer.elements(S)}
+        for P in paulis:
+            c = phase_of.get((P.a, P.b))
+            expected = None if c is None else (P.c - c) % (2 * q)
+            assert stabilizer.expectation_exponent(S, P) == expected
+
+
+def test_supported_subgroup_checks_phases_on_every_call():
+    # a valid group with rows (Z0, Z0) is queried first; a hand-built group
+    # with the same rows and gens Z0, -Z0 must still be rejected, every time
+    Z0 = lbl(2, 2, [1, 0], [0, 0])
+    good = stabilizer.validate([Z0, Z0])
+    bad = stabilizer.StabilizerGroup(
+        q=2, n=2, gens=(Z0, pauli.phase_shifted(Z0, 2)), order=good.order, key=good.key
+    )
+    for _ in range(2):
+        for region in ([0], [0, 1]):
+            assert stabilizer.supported_subgroup(good, region).order == 2
+            with pytest.raises(stabilizer.InconsistentPhase):
+                stabilizer.supported_subgroup(bad, region)
+
+
+def test_supported_subgroup_checks_commutation_on_every_call():
+    X0 = lbl(2, 2, [0, 0], [1, 0])
+    Z0 = lbl(2, 2, [1, 0], [0, 0])
+    bad = stabilizer.StabilizerGroup(q=2, n=2, gens=(X0, Z0), order=4, key=())
+    for _ in range(2):
+        for region in ([0], [0, 1]):
+            with pytest.raises(stabilizer.NonCommutingPair) as err:
+                stabilizer.supported_subgroup(bad, region)
+            assert err.value.pair == (0, 1)
+
+
+def test_equal_rows_keep_their_own_phases():
+    # (Z0, Z1) and (-Z0, Z1) share their exponent rows; queried alternately,
+    # each keeps its own generator phases
+    Z0 = lbl(2, 2, [1, 0], [0, 0])
+    Z1 = lbl(2, 2, [0, 1], [0, 0])
+    plus = stabilizer.validate([Z0, Z1])
+    minus = stabilizer.validate([pauli.phase_shifted(Z0, 2), Z1])
+    for _ in range(2):
+        for S, c in ((plus, 0), (minus, 2)):
+            assert stabilizer.supported_subgroup(S, [0]).gens == (pauli.phase_shifted(Z0, c),)
+            assert stabilizer.supported_subgroup(S, [1]).gens == (Z1,)
+            assert stabilizer.supported_subgroup(S, [0, 1]).gens == S.gens
+            assert stabilizer.expectation_exponent(S, Z0) == c
+            assert stabilizer.expectation_exponent(S, pauli.compose(Z0, Z1)) == c
+
+
+@pytest.mark.parametrize("q,n", [(2, 1), (3, 2), (6, 2), (4, 3)])
+def test_trivial_group_key(q, n):
+    T = stabilizer.trivial_group(q, n)
+    assert T.order == 1 and T.gens == ()
+    assert T.key == linalg.lattice_key([], q, 2 * n)
 
 
 def test_locally_generated_and_commutant():
