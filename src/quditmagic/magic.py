@@ -65,27 +65,20 @@ def build_dictionary(n: int, q: int, config: RunConfig = DEFAULT_CONFIG) -> Stab
 # ---------------------------------------------------------------------------
 
 def _herm_coords(M: np.ndarray) -> np.ndarray:
-    d = M.shape[0]
-    out = [M[i, i].real for i in range(d)]
-    s = math.sqrt(2.0)
-    for i in range(d):
-        for j in range(i + 1, d):
-            out.append(s * M[i, j].real)
-            out.append(s * M[i, j].imag)
-    return np.array(out)
+    """Coordinates of a Hermitian matrix, or of each in a stack: the diagonal,
+    then sqrt(2) times (Re, Im) of the upper triangle, row by row."""
+    iu = np.triu_indices(M.shape[-1], 1)
+    upper = M[..., iu[0], iu[1]]
+    pairs = np.stack([upper.real, upper.imag], axis=-1).reshape(*upper.shape[:-1], -1)
+    diag = np.diagonal(M, axis1=-2, axis2=-1).real
+    return np.concatenate([diag, math.sqrt(2.0) * pairs], axis=-1)
 
 
 def _herm_from_coords(v: np.ndarray, d: int) -> np.ndarray:
-    M = np.zeros((d, d), dtype=complex)
-    for i in range(d):
-        M[i, i] = v[i]
-    k = d
-    s = math.sqrt(2.0)
-    for i in range(d):
-        for j in range(i + 1, d):
-            M[i, j] = (v[k] + 1j * v[k + 1]) / s
-            M[j, i] = np.conj(M[i, j])
-            k += 2
+    iu = np.triu_indices(d, 1)
+    M = np.diag(v[:d].astype(complex))
+    M[iu] = (v[d::2] + 1j * v[d + 1::2]) / math.sqrt(2.0)
+    M[iu[1], iu[0]] = M[iu].conj()
     return M
 
 
@@ -120,16 +113,16 @@ def lr_lp(rho: np.ndarray, dic: StabilizerDictionary,
     """min sum |c_k| s.t. sum c_k phi_k = rho, by the split c = u - w."""
     d = dic.dim
     K = len(dic.vectors)
-    H = np.column_stack([
-        _herm_coords(np.outer(v, v.conj())) for v in dic.vectors
-    ])
+    Phi = dic.matrix
+    # column k: the coordinates of phi_k phi_k^dag
+    H = _herm_coords(Phi.T[:, :, None] * Phi.conj().T[:, None, :]).T
     A = np.hstack([H, -H])
     b = _herm_coords(rho)
     c = np.ones(2 * K)
     sol = simplex.solve_lp(A, b, c)
     coeffs = sol.x[:K] - sol.x[K:]
     witness = _herm_from_coords(sol.dual, d)
-    feas = float(np.max(np.abs(_expectations(dic.matrix, witness))))
+    feas = float(np.max(np.abs(_expectations(Phi, witness))))
     if feas > 1.0 + 1e-8:
         raise ArithmeticError("dual witness violates |Tr(A sigma)| <= 1")
     dual_val = float(np.real(np.trace(witness @ rho)))

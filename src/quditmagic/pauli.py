@@ -88,8 +88,9 @@ def power(P: PauliLabel, m: int) -> PauliLabel:
 
 
 def phase_shifted(P: PauliLabel, delta_c: int) -> PauliLabel:
-    """Same operator multiplied by omega_{2q}^delta_c."""
-    return label(P.q, P.n, P.a, P.b, P.c + delta_c)
+    """Same operator multiplied by omega_{2q}^delta_c.  Only c is reduced:
+    a and b of a PauliLabel are kept reduced mod q."""
+    return PauliLabel(P.q, P.n, P.a, P.b, (P.c + delta_c) % (2 * P.q))
 
 
 def commutation_exponent(P: PauliLabel, Q: PauliLabel) -> int:

@@ -1,17 +1,14 @@
-"""Dense two-phase primal simplex for the small LPs used by the magic solvers.
+"""Standard-form LP  min c.x  s.t.  A x = b, x >= 0  on scipy's HiGHS dual
+simplex ("highs-ds").
 
-Solves  min c.x  s.t.  A x = b, x >= 0  in standard form, with Bland's rule
-(lowest eligible index) for both entering and leaving variables so the pivot
-sequence is deterministic and cycling-free.  Problem sizes stay in the low
-hundreds of columns, so a full dense tableau is fine.
+The module name stays `simplex` because the benchmark's tracer
+(perfbench/tracer.py) imports `quditmagic.simplex` for its span targets.
 """
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
 
 import numpy as np
-
-PIVOT_TOL = 1e-9
+import scipy.optimize
 
 
 class Infeasible(Exception):
@@ -30,101 +27,11 @@ class LpSolution:
 
 
 def solve_lp(A: np.ndarray, b: np.ndarray, c: np.ndarray) -> LpSolution:
-    A = np.asarray(A, dtype=float)
-    b = np.asarray(b, dtype=float).copy()
-    c = np.asarray(c, dtype=float)
-    m, n = A.shape
-    A = A.copy()
-    flip = b < 0
-    A[flip] *= -1.0
-    b[flip] *= -1.0
-
-    # Phase 1: artificial basis.
-    T = np.zeros((m, n + m + 1))
-    T[:, :n] = A
-    T[:, n:n + m] = np.eye(m)
-    T[:, -1] = b
-    basis = list(range(n, n + m))
-    cost1 = np.concatenate([np.zeros(n), np.ones(m)])
-    _run(T, basis, cost1)
-    if _objective(T, basis, cost1) > 1e-7:
-        raise Infeasible("phase 1 optimum is positive")
-    # Pivot remaining artificials out of the basis where possible.
-    for row, j in enumerate(basis):
-        if j >= n:
-            piv = None
-            for k in range(n):
-                if abs(T[row, k]) > PIVOT_TOL:
-                    piv = k
-                    break
-            if piv is not None:
-                _pivot(T, basis, row, piv)
-            # else: redundant row, the artificial stays at value 0
-
-    # Phase 2 on the original costs.  Artificials still basic at this point
-    # sit on redundant rows at value 0; with zero cost they stay put because
-    # their rows have no admissible pivot in the original columns.
-    cost2 = np.concatenate([c, np.zeros(m)])
-    _run(T, basis, cost2, limit=n)
-    x = np.zeros(n)
-    for row, j in enumerate(basis):
-        if j < n:
-            x[j] = T[row, -1]
-    y = _dual(T, basis, cost2, m, n)
-    # Undo the row sign flips so y is dual to the original system.
-    y[flip] *= -1.0
-    return LpSolution(x=x, value=float(c @ x), dual=y)
-
-
-def _objective(T: np.ndarray, basis, cost) -> float:
-    return float(sum(cost[j] * T[row, -1] for row, j in enumerate(basis)))
-
-
-def _reduced_costs(T: np.ndarray, basis, cost, limit: int) -> np.ndarray:
-    cb = np.array([cost[j] for j in basis])
-    return cost[:limit] - cb @ T[:, :limit]
-
-
-def _run(T: np.ndarray, basis, cost, limit: Optional[int] = None) -> None:
-    ncols = T.shape[1] - 1
-    if limit is None:
-        limit = ncols
-    while True:
-        red = _reduced_costs(T, basis, cost, limit)
-        enter = None
-        for j in range(limit):
-            if j not in basis and red[j] < -PIVOT_TOL:
-                enter = j
-                break
-        if enter is None:
-            return
-        leave = None
-        best = None
-        for row in range(T.shape[0]):
-            a = T[row, enter]
-            if a > PIVOT_TOL:
-                ratio = T[row, -1] / a
-                if best is None or ratio < best - PIVOT_TOL or (
-                    abs(ratio - best) <= PIVOT_TOL and basis[row] < basis[leave]
-                ):
-                    best = ratio
-                    leave = row
-        if leave is None:
-            raise Unbounded("no leaving row for column %d" % enter)
-        _pivot(T, basis, leave, enter)
-
-
-def _pivot(T: np.ndarray, basis, row: int, col: int) -> None:
-    T[row] /= T[row, col]
-    for r in range(T.shape[0]):
-        if r != row and abs(T[r, col]) > 0:
-            T[r] -= T[r, col] * T[row]
-    basis[row] = col
-
-
-def _dual(T: np.ndarray, basis, cost, m: int, n: int) -> np.ndarray:
-    # y = c_B B^{-1}; B^{-1} sits in the artificial columns of the tableau
-    # (they started as the identity), up to the sign flips applied to b.
-    cb = np.array([cost[j] if j < n else 0.0 for j in basis])
-    Binv = T[:, n:n + m]
-    return cb @ Binv
+    res = scipy.optimize.linprog(c, A_eq=A, b_eq=b, bounds=(0, None), method="highs-ds")
+    if res.status == 2:
+        raise Infeasible(res.message)
+    if res.status == 3:
+        raise Unbounded(res.message)
+    if res.status != 0:
+        raise ArithmeticError(res.message)
+    return LpSolution(x=res.x, value=float(res.fun), dual=res.eqlin.marginals)

@@ -52,18 +52,87 @@ def test_lf_pure_known_values(dic12):
         assert abs(v) < 1e-10
 
 
+def check_lr_certificate(rho, dic, res):
+    # the signed decomposition reproduces rho at cost equal to the optimum
+    acc = sum(c * np.outer(v, v.conj()) for c, v in zip(res.coeffs, dic.vectors))
+    assert np.allclose(acc, rho, atol=1e-9)
+    assert abs(np.sum(np.abs(res.coeffs)) - res.optimum) < 1e-9
+    # the dual witness is feasible on every dictionary state and attains it
+    for v in dic.vectors:
+        assert abs(np.real(np.vdot(v, res.witness @ v))) <= 1.0 + 1e-9
+    assert abs(np.real(np.trace(res.witness @ rho)) - res.optimum) < 1e-9
+    assert res.gap < 1e-9
+
+
 def test_lr_known_value(dic12):
     rho = dense.density_of(t_state())
     res = magic.lr_lp(rho, dic12)
     assert abs(res.value - 0.5) < 1e-8
     assert abs(res.optimum - math.sqrt(2)) < 1e-8
-    assert res.gap < 1e-7
-    # the signed decomposition reproduces rho
-    acc = sum(c * np.outer(v, v.conj()) for c, v in zip(res.coeffs, dic12.vectors))
-    assert np.allclose(acc, rho, atol=1e-8)
-    # the dual witness is feasible and matches the optimum
-    for v in dic12.vectors:
-        assert abs(np.real(np.vdot(v, res.witness @ v))) <= 1.0 + 1e-7
+    check_lr_certificate(rho, dic12, res)
+
+
+# (n, q) and pure state beyond the single-qubit T state; at (2,2) the optimal
+# dual of T x T is not unique, so only the certificate, not the witness, is
+# checked
+LR_STATES = {
+    "random_q3n1": ((1, 3), random_state(3, 1, 7)),
+    "tt_q2n2": ((2, 2), np.kron(t_state(), t_state())),
+    "11i1_q2n2": ((2, 2), np.array([1, 1, 1, 1j], dtype=complex) / 2),
+}
+
+
+@pytest.fixture(scope="module")
+def lr_dics(dic13):
+    return {(1, 3): dic13, (2, 2): magic.build_dictionary(2, 2, RunConfig())}
+
+
+@pytest.mark.parametrize("name", sorted(LR_STATES))
+def test_lr_certificate(name, lr_dics):
+    size, psi = LR_STATES[name]
+    rho = dense.density_of(psi)
+    check_lr_certificate(rho, lr_dics[size], magic.lr_lp(rho, lr_dics[size]))
+
+
+def test_lr_pinned_values(lr_dics):
+    # LR (log2) of the states above, as the hand-written simplex computed it
+    pinned = {
+        "random_q3n1": 0.9577400652505306,
+        "tt_q2n2": 0.8053311710772854,
+        "11i1_q2n2": 1.1375035237499354,
+    }
+    for name, value in pinned.items():
+        size, psi = LR_STATES[name]
+        res = magic.lr_lp(dense.density_of(psi), lr_dics[size])
+        assert abs(res.value - value) < 1e-9
+
+
+def test_lr_rejects_infeasible_witness(dic12, monkeypatch):
+    # a dual that overshoots |Tr(A sigma)| <= 1 is caught by lr_lp itself
+    solve = magic.simplex.solve_lp
+
+    def inflated(A, b, c):
+        sol = solve(A, b, c)
+        sol.dual = 1.01 * sol.dual
+        return sol
+
+    monkeypatch.setattr(magic.simplex, "solve_lp", inflated)
+    with pytest.raises(ArithmeticError, match="dual witness"):
+        magic.lr_lp(dense.density_of(t_state()), dic12)
+
+
+def test_lr_reports_duality_gap(dic12, monkeypatch):
+    # the gap is |primal - Tr(A rho)|, so a primal value off by 1e-3 shows
+    solve = magic.simplex.solve_lp
+
+    def shifted(A, b, c):
+        sol = solve(A, b, c)
+        sol.value += 1e-3
+        return sol
+
+    monkeypatch.setattr(magic.simplex, "solve_lp", shifted)
+    res = magic.lr_lp(dense.density_of(t_state()), dic12)
+    assert abs(res.gap - 1e-3) < 1e-9
 
 
 def test_lr_zero_on_hull(dic12):

@@ -138,6 +138,9 @@ def test_phase_shift_and_character():
     )
     X = pauli.label(3, 1, [0], [1], 0)
     assert pauli.commutation_exponent(P, X) == 1
+    # the shifted phase stays in its canonical range, as label() builds it
+    for delta in (-7, -1, 5, 13):
+        assert pauli.phase_shifted(P, delta) == pauli.label(3, 1, [1], [0], delta)
 
 
 def test_known_single_qubit_matrices():

@@ -1,3 +1,13 @@
+"""Contract of `simplex.solve_lp`, the adapter over scipy's HiGHS dual simplex.
+
+These pin the adapter: exceptions, sign-flipped and redundant rows, a
+degenerate vertex, primal and dual feasibility and strong duality.  Since the
+adapter itself calls `linprog`, the comparison with `reference_solve` in
+`test_matches_reference_solver` checks the adapter's mapping of linprog's
+result (value, x, dual, status); the certificate assertions (feasibility and
+strong duality) carry the correctness check.
+"""
+
 import numpy as np
 import pytest
 import scipy.optimize
@@ -80,10 +90,19 @@ def test_redundant_rows():
 
 
 def test_degenerate_vertex_terminates():
-    # multiple constraints meet at the optimum; Bland's rule must not cycle
+    # multiple constraints meet at the optimum; the solve must still end there
     A = np.array([[1.0, 1.0, 1.0, 0.0], [1.0, 0.0, 0.0, 1.0]])
     b = np.array([1.0, 1.0])
     c = np.array([-1.0, 0.0, 0.0, 0.0])
     sol = simplex.solve_lp(A, b, c)
     assert abs(sol.value + 1.0) < 1e-9
     assert abs(sol.x[0] - 1.0) < 1e-9
+
+
+@pytest.mark.parametrize("status", [1, 4])
+def test_other_status_raises(status, monkeypatch):
+    # iteration limit (1) and numerical trouble (4) must not pass as optima
+    fake = scipy.optimize.OptimizeResult(status=status, message="stopped", x=None, fun=None)
+    monkeypatch.setattr(scipy.optimize, "linprog", lambda *args, **kwargs: fake)
+    with pytest.raises(ArithmeticError, match="stopped"):
+        simplex.solve_lp(np.eye(1), np.ones(1), np.ones(1))
