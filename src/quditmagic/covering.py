@@ -11,6 +11,15 @@ slot) and once through its trace-dual basis (second slot), the members are
 which gives p^{nr} + p^{n(r-1)} members whose union is all of R x R.  For
 composite q the per-prime-power families are recombined coordinate-wise by
 the Chinese remainder theorem.
+
+Tr is Z_q-linear, so the z-parts Tr(t b_k b_i) = sum_j t_j T[j,k,i] of E_t
+and the x-parts sum_j s_j D[j,k,i] of F_s come by one integer contraction
+mod q from T[j,k,i] = Tr(b_j b_k b_i) and D[j,k,i] = Tr(b_j d_k d_i), with b
+the power basis and d its trace dual.  verify_cover marks the base-q codes of
+the members' vectors (first coordinate most significant, so the smallest
+unmarked code is the lexicographically first uncovered vector) in a boolean
+array, counts each member's distinct codes for its order and reads isotropy
+off M J M^T mod q.
 """
 
 import itertools
@@ -18,11 +27,16 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from . import linalg, pauli, ring, stabilizer
 from .config import BudgetExceeded, DEFAULT_CONFIG, RunConfig, log_value
 
 Row = Tuple[int, ...]
 Member = Tuple[Row, ...]
+
+# verify_cover holds at most about this many member-vector coordinates at once
+VERIFY_CHUNK_ELEMENTS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -64,40 +78,37 @@ def expected_member_count(q: int, n: int) -> int:
     return total
 
 
+def _trace_form(left, mid, right) -> np.ndarray:
+    """[j, k, i] -> Tr(left_j * mid_k * right_i), an n x n x n integer array."""
+    return np.array([[[ring.trace(a * b * c) for c in right] for b in mid] for a in left],
+                    dtype=np.int64)
+
+
+def _digits(count: int, base: int, n: int) -> np.ndarray:
+    """Row idx holds the n little-endian base-`base` digits of idx < count."""
+    return np.arange(count)[:, None] // base ** np.arange(n) % base
+
+
+def _as_members(M: np.ndarray) -> Tuple[Member, ...]:
+    return tuple(tuple(map(tuple, m)) for m in M.tolist())
+
+
 def cover_prime_power(p: int, r: int, n: int) -> CoverFamily:
     """The E_t / F_s family over q = p^r; size p^{nr} + p^{n(r-1)}."""
     R = _cover_ring(p, r, n)
     q = R.modulus
     basis = ring.power_basis(R)
     dual = ring.dual_basis(basis)
-    members: List[Member] = []
-    tags: List[str] = []
-    for t_idx in range(R.size):
-        t = R.from_index(t_idx)
-        rows = []
-        for k in range(n):
-            a = [1 if i == k else 0 for i in range(n)]
-            b = [ring.trace(t * basis[k] * basis[i]) % q for i in range(n)]
-            rows.append(tuple(a + b))
-        members.append(tuple(rows))
-        tags.append("E:%d" % t_idx)
-    # p*R enumerated through coefficient vectors mod p^{r-1}
     sub = p ** (r - 1)
-    for s_idx in range(sub ** n):
-        rem = s_idx
-        coeffs = []
-        for _ in range(n):
-            coeffs.append(p * (rem % sub))
-            rem //= sub
-        s = R.element(coeffs)
-        rows = []
-        for k in range(n):
-            a = [ring.trace(s * dual[k] * dual[i]) % q for i in range(n)]
-            b = [1 if i == k else 0 for i in range(n)]
-            rows.append(tuple(a + b))
-        members.append(tuple(rows))
-        tags.append("F:%d" % s_idx)
-    return CoverFamily(q=q, n=n, members=tuple(members), tags=tuple(tags))
+    E = np.einsum("mj,jki->mki", _digits(R.size, q, n), _trace_form(basis, basis, basis)) % q
+    F = np.einsum("mj,jki->mki", p * _digits(sub ** n, sub, n), _trace_form(basis, dual, dual)) % q
+    eye = np.eye(n, dtype=np.int64)
+    members = np.concatenate([
+        np.concatenate([np.broadcast_to(eye, E.shape), E], axis=2),
+        np.concatenate([F, np.broadcast_to(eye, F.shape)], axis=2),
+    ])
+    tags = ["E:%d" % i for i in range(len(E))] + ["F:%d" % i for i in range(len(F))]
+    return CoverFamily(q=q, n=n, members=_as_members(members), tags=tuple(tags))
 
 
 def cover_composite(q: int, n: int) -> CoverFamily:
@@ -108,30 +119,18 @@ def cover_composite(q: int, n: int) -> CoverFamily:
     parts = [cover_prime_power(p, r, n) for p, r in mod.factors]
     if len(parts) == 1:
         return parts[0]
-    members: List[Member] = []
-    tags: List[str] = []
-    for combo in itertools.product(*(range(len(f.members)) for f in parts)):
-        rows = []
-        for k in range(n):
-            factor_rows = [parts[j].members[idx][k] for j, idx in enumerate(combo)]
-            combined = [
-                ring.crt_combine([fr[col] for fr in factor_rows], mod)
-                for col in range(2 * n)
-            ]
-            rows.append(tuple(combined))
-        members.append(tuple(rows))
-        tags.append("*".join(parts[j].tags[idx] for j, idx in enumerate(combo)))
-    return CoverFamily(q=q, n=n, members=tuple(members), tags=tuple(tags))
-
-
-def _member_vectors(member: Member, q: int, n: int):
-    for coeffs in itertools.product(range(q), repeat=n):
-        vec = [0] * (2 * n)
-        for c, row in zip(coeffs, member):
-            if c:
-                for i, x in enumerate(row):
-                    vec[i] = (vec[i] + c * x) % q
-        yield tuple(vec)
+    # entry-wise sum_j res_j M_j (M_j^{-1} mod q_j) mod q, over every choice
+    # of one member per part, the last part's index running fastest
+    combined = 0
+    for j, f in enumerate(parts):
+        other = q // f.q
+        shape = [1] * len(parts) + [n, 2 * n]
+        shape[j] = len(f.members)
+        res = np.array(f.members, dtype=np.int64).reshape(shape)
+        combined = combined + res * (other * pow(other, -1, f.q))
+    members = (combined % q).reshape(-1, n, 2 * n)
+    tags = ["*".join(combo) for combo in itertools.product(*(f.tags for f in parts))]
+    return CoverFamily(q=q, n=n, members=_as_members(members), tags=tuple(tags))
 
 
 def verify_cover(c: CoverFamily, config: RunConfig = DEFAULT_CONFIG) -> CoverReport:
@@ -147,36 +146,36 @@ def verify_cover(c: CoverFamily, config: RunConfig = DEFAULT_CONFIG) -> CoverRep
     failures: List[str] = []
     expected = expected_member_count(q, n)
     if len(c.members) != expected:
-        failures.append(
-            "family size %d != expected %d" % (len(c.members), expected)
-        )
-    covered = set()
-    for tag, member in zip(c.tags, c.members):
-        for i in range(n):
-            for j in range(i + 1, n):
-                sp = sum(
-                    member[i][k] * member[j][n + k] - member[i][n + k] * member[j][k]
-                    for k in range(n)
-                ) % q
-                if sp != 0:
-                    failures.append("member %s generators %d,%d do not commute" % (tag, i, j))
-        vecs = set(_member_vectors(member, q, n))
-        if len(vecs) != q ** n:
-            failures.append("member %s has order %d != q^n" % (tag, len(vecs)))
-        covered |= vecs
+        failures.append("family size %d != expected %d" % (len(c.members), expected))
+    M = np.array(c.members, dtype=np.int64).reshape(len(c.members), n, 2 * n)
+    grid = _digits(q ** n, q, n)
+    place = q ** np.arange(2 * n - 1, -1, -1)   # first coordinate most significant
+    covered = np.zeros(total, dtype=bool)
+    step = max(1, VERIFY_CHUNK_ELEMENTS // (q ** n * 2 * n))
+    for lo in range(0, len(M), step):
+        chunk = M[lo: lo + step]
+        a, b = chunk[:, :, :n], chunk[:, :, n:]
+        sp = (a @ b.swapaxes(1, 2) - b @ a.swapaxes(1, 2)) % q
+        codes = np.sort((grid @ chunk % q) @ place, axis=1)
+        covered[codes] = True
+        orders = 1 + np.count_nonzero(np.diff(codes, axis=1), axis=1)
+        for tag, g, order in zip(c.tags[lo: lo + step], sp, orders.tolist()):
+            for i, j in zip(*np.nonzero(np.triu(g, 1))):
+                failures.append("member %s generators %d,%d do not commute" % (tag, i, j))
+            if order != q ** n:
+                failures.append("member %s has order %d != q^n" % (tag, order))
+    covered_count = int(np.count_nonzero(covered))
     uncovered = None
-    if len(covered) != total:
-        for vec in itertools.product(range(q), repeat=2 * n):
-            if vec not in covered:
-                uncovered = vec
-                failures.append("vector %r is uncovered" % (vec,))
-                break
+    if covered_count != total:
+        code = int(np.argmin(covered))
+        uncovered = tuple(code // q ** k % q for k in range(2 * n - 1, -1, -1))
+        failures.append("vector %r is uncovered" % (uncovered,))
     return CoverReport(
         ok=not failures,
         member_count=len(c.members),
         expected_count=expected,
         vector_count=total,
-        covered_count=len(covered),
+        covered_count=covered_count,
         failures=tuple(failures),
         uncovered=uncovered,
     )

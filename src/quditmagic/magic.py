@@ -23,7 +23,6 @@ from functools import cached_property
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
-import scipy.optimize
 
 from . import dense, pauli, simplex, stabilizer
 from .config import DEFAULT_CONFIG, RunConfig, check_dense, log_value
@@ -164,6 +163,7 @@ def _frank_wolfe(Phi: np.ndarray, scores: Callable[[np.ndarray], np.ndarray],
     linearization gap at the returned weights, a certified bound on the
     distance of their objective value to the minimum.
     """
+    import scipy.optimize  # on first use, so commands without magic never load it
     K = Phi.shape[1]
     weights = np.full(K, 1.0 / K)
     it = 0

@@ -8,7 +8,6 @@ The module name stays `simplex` because the benchmark's tracer
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.optimize
 
 
 class Infeasible(Exception):
@@ -27,6 +26,7 @@ class LpSolution:
 
 
 def solve_lp(A: np.ndarray, b: np.ndarray, c: np.ndarray) -> LpSolution:
+    import scipy.optimize  # on first use, so commands without an LP never load it
     res = scipy.optimize.linprog(c, A_eq=A, b_eq=b, bounds=(0, None), method="highs-ds")
     if res.status == 2:
         raise Infeasible(res.message)

@@ -46,6 +46,34 @@ def test_cli_import_does_not_load_sympy():
     assert out.stdout.strip() == "False"
 
 
+# Each case runs in a fresh interpreter: the exit code of cli.main, then
+# whether scipy.optimize was loaded by the import or by the command.
+OPTIMIZER_PROBE = """
+import contextlib, io, sys
+from quditmagic import cli
+argv = sys.argv[1:]
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(argv) if argv else 0
+print(code, "scipy.optimize" in sys.modules)
+"""
+
+
+@pytest.mark.parametrize("argv,loaded", [
+    ([], False),
+    (["cover", "--q", "4", "--n", "1", "--verify"], False),
+    (["certify", "--patches", "1.0:2,1.0:2"], False),
+    (["magic", "--state", "T_STATE"], True),
+], ids=["import", "cover", "certify", "magic"])
+def test_only_magic_loads_scipy_optimize(tmp_path, argv, loaded):
+    argv = [t_state_path(tmp_path) if a == "T_STATE" else a for a in argv]
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(quditmagic.__file__)))
+    out = subprocess.run(
+        [sys.executable, "-c", OPTIMIZER_PROBE] + argv,
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.split() == ["0", str(loaded)], out.stderr
+
+
 def test_cover_report(capsys):
     body = run_json(capsys, ["cover", "--q", "6", "--n", "1", "--verify"])
     assert body["schema"] == 1
