@@ -166,19 +166,31 @@ def cmd_rephase(args, config: RunConfig) -> int:
     return EXIT_OK
 
 
+def _parse_pairs(text: str) -> list:
+    pairs = []
+    for chunk in text.split(";"):
+        try:
+            nums = [int(x) for x in chunk.split(",")]
+        except ValueError:
+            nums = []
+        if len(nums) != 4:
+            raise UsageError("each pair is a1,b1,a2,b2 with integer entries")
+        pairs.append((toric.AnyonType(nums[0], nums[1]),
+                      toric.AnyonType(nums[2], nums[3])))
+    return pairs
+
+
 def cmd_toric(args, config: RunConfig) -> int:
-    if args.toric_cmd == "smatrix":
+    pairs = _parse_pairs(args.pairs) if getattr(args, "pairs", None) else None
+    try:
         code = toric.build_toric(args.q, args.lx, args.ly)
-        pairs = None
-        if args.pairs:
-            pairs = []
-            for chunk in args.pairs.split(";"):
-                nums = [int(x) for x in chunk.split(",")]
-                if len(nums) != 4:
-                    raise UsageError("each pair is a1,b1,a2,b2")
-                pairs.append((toric.AnyonType(nums[0], nums[1]),
-                              toric.AnyonType(nums[2], nums[3])))
-        rep = toric.quantization_check(code, pairs)
+        if args.toric_cmd == "smatrix":
+            rep = toric.quantization_check(code, pairs)
+        else:
+            rep = toric.annulus_extreme_points(code, config=config)
+    except toric.GeometryTooSmall as exc:
+        raise UsageError(str(exc))
+    if args.toric_cmd == "smatrix":
         body = {
             "command": "toric smatrix",
             "q": args.q, "lx": args.lx, "ly": args.ly,
@@ -197,14 +209,7 @@ def cmd_toric(args, config: RunConfig) -> int:
                 for e in rep.entries
             ],
         }
-        _emit(config, body)
-        return EXIT_OK if rep.ok else EXIT_FAIL
-    if args.toric_cmd == "annulus":
-        code = toric.build_toric(args.q, args.lx, args.ly)
-        try:
-            rep = toric.annulus_extreme_points(code, config=config)
-        except toric.GeometryTooSmall as exc:
-            raise UsageError(str(exc))
+    else:
         body = {
             "command": "toric annulus",
             "q": args.q, "lx": args.lx, "ly": args.ly,
@@ -218,9 +223,8 @@ def cmd_toric(args, config: RunConfig) -> int:
             "min_match_fidelity": rep.min_match_fidelity,
             "dense_checked": rep.dense_checked,
         }
-        _emit(config, body)
-        return EXIT_OK if rep.ok else EXIT_FAIL
-    raise UsageError("unknown toric subcommand")
+    _emit(config, body)
+    return EXIT_OK if rep.ok else EXIT_FAIL
 
 
 def _parse_region(text: str) -> List[int]:

@@ -20,6 +20,8 @@ class OverlappingRegions(ValueError):
 
 
 def state_from_amplitudes(q: int, n: int, amps: Sequence[complex]) -> np.ndarray:
+    if q < 2 or n < 1:
+        raise ValueError("need q >= 2 and n >= 1, got q=%d, n=%d" % (q, n))
     v = np.asarray(amps, dtype=complex)
     if v.shape != (q ** n,):
         raise ValueError("amplitude vector has wrong length")

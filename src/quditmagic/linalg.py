@@ -1,11 +1,14 @@
 """Integer matrix normal forms and modular linear algebra.
 
-One Smith-normal-form engine serves canonical forms, group orders, kernels
-and linear congruence solving over Z_q.  Field-style Gaussian elimination is
-ruled out because q may be composite, so everything here works over Z with
-exact arithmetic (plain Python integers).
+Every question about a subgroup of Z_q^n (canonical key, order, kernel,
+linear congruence) is read off its Howell form, an echelon form kept mod q
+that stays canonical when q is composite, where field-style Gaussian
+elimination fails.  The Smith normal form over Z serves only the
+independent-generator decomposition of a relation lattice.  All arithmetic
+is exact, on plain Python integers.
 """
 
+import math
 from typing import List, Optional, Sequence, Tuple
 
 Matrix = List[List[int]]
@@ -27,17 +30,6 @@ def mat_mul(A: Matrix, B: Matrix) -> Matrix:
                 for j in range(n):
                     acc[j] += a * brow[j]
         out.append(acc)
-    return out
-
-
-def vec_mat(v: Sequence[int], A: Matrix) -> List[int]:
-    if not A:
-        return []
-    out = [0] * len(A[0])
-    for x, row in zip(v, A):
-        if x:
-            for j, a in enumerate(row):
-                out[j] += x * a
     return out
 
 
@@ -131,118 +123,127 @@ def snf_diagonal(S: Matrix) -> List[int]:
     return [S[i][i] for i in range(min(len(S), len(S[0]) if S else 0))]
 
 
-def hermite_normal_form(A: Matrix) -> Matrix:
-    """Canonical row Hermite normal form of the row lattice of A.
+def _order(form: Matrix, q: int) -> int:
+    """Order of the subgroup whose Howell form is given: prod q/pivot."""
+    order = 1
+    for row in form:
+        order *= q // next(x for x in row if x)
+    return order
 
-    Pivots are positive, entries above a pivot lie in [0, pivot).  Only the
-    nonzero rows are returned; the result is a canonical basis of the lattice.
+
+def howell_form(A: Matrix, q: int, n: int) -> Matrix:
+    """Howell form of the subgroup of Z_q^n generated by the rows of A.
+
+    An echelon form kept mod q: Euclid row steps clear each column below its
+    pivot, a unit scales the pivot to a divisor d of q, entries above it are
+    reduced into [0, d), and the row (q/d)*pivot joins the pool so later
+    columns see it.  That gives the Howell property (the rows pivoted at or
+    after column j span every element that vanishes before column j), under
+    which the form is unique (Howell 1986; Storjohann and Mulders 1998).
     """
-    M = [[int(x) for x in row] for row in A]
-    m = len(M)
-    n = len(M[0]) if m else 0
-    row = 0
-    for col in range(n):
-        if row == m:
-            break
+    pool = [r for r in ([x % q for x in row] for row in A) if any(r)]
+    out: Matrix = []
+    for j in range(n):
         piv = None
-        for i in range(row, m):
-            if M[i][col] != 0 and (piv is None or abs(M[i][col]) < abs(M[piv][col])):
-                piv = i
+        rest = []
+        for row in pool:
+            if not row[j]:
+                rest.append(row)
+            elif piv is None:
+                piv = row
+            else:
+                while row[j]:
+                    c = piv[j] // row[j]
+                    piv, row = row, [(x - c * y) % q for x, y in zip(piv, row)]
+                if any(row):
+                    rest.append(row)
+        pool = rest
         if piv is None:
             continue
-        M[row], M[piv] = M[piv], M[row]
-        while True:
-            done = True
-            for i in range(row + 1, m):
-                if M[i][col] != 0:
-                    c = M[i][col] // M[row][col]
-                    M[i] = [a - c * b for a, b in zip(M[i], M[row])]
-                    if M[i][col] != 0:
-                        M[row], M[i] = M[i], M[row]
-                        done = False
-            if done:
-                break
-        if M[row][col] < 0:
-            M[row] = [-a for a in M[row]]
-        for i in range(row):
-            c = M[i][col] // M[row][col]
+        d = math.gcd(piv[j], q)
+        if piv[j] != d:
+            u = pow(piv[j] // d, -1, q // d)
+            while math.gcd(u, q) != 1:
+                u += q // d
+            piv = [(u * x) % q for x in piv]
+        for row in out:
+            c = row[j] // d
             if c:
-                M[i] = [a - c * b for a, b in zip(M[i], M[row])]
-        row += 1
-    return [r for r in M[:row] if any(r)]
+                row[:] = [(x - c * y) % q for x, y in zip(row, piv)]
+        extra = [(q // d * x) % q for x in piv]
+        if any(extra):
+            pool.append(extra)
+        out.append(piv)
+    return out
 
 
-def stack_q(rows: Sequence[Sequence[int]], q: int, n: int) -> Matrix:
-    """The rows followed by q*I_n: their row lattice is the preimage in Z^n of
-    the subgroup of Z_q^n that the rows generate."""
-    return [list(r) for r in rows] + [
-        [q if i == j else 0 for j in range(n)] for i in range(n)
-    ]
+def augmented_form(A: Matrix, q: int) -> Matrix:
+    """Howell form of [A | I_k] for a k x n matrix A.
+
+    Its rows with a nonzero A-part are, cut to that part, the Howell form of
+    span(A); the others hold, in the I-part, generators of the left kernel
+    mod q; and reducing [v | 0] against it solves x*A = v (solve_form).
+    """
+    k = len(A)
+    rows = [list(row) + [int(i == j) for j in range(k)] for i, row in enumerate(A)]
+    return howell_form(rows, q, (len(A[0]) if k else 0) + k)
+
+
+def lattice_data(A: Matrix, q: int, n: int) -> Tuple[Tuple[Tuple[int, ...], ...], int, Matrix]:
+    """(key, order, relations) of the subgroup of Z_q^n generated by the rows
+    of A, from one augmented form: key as in lattice_key, and relations
+    generating the lattice {x in Z^k : x*A = 0 (mod q)}.  The kernel rows of
+    the form span it only mod q, so the q*e_i rows are appended: phase checks
+    need relations such as g^q."""
+    H = augmented_form(A, q)
+    k = len(A)
+    key = tuple(tuple(row[:n]) for row in H if any(row[:n]))
+    relations = [row[n:] for row in H if not any(row[:n])]
+    relations += [[q if i == j else 0 for j in range(k)] for i in range(k)]
+    return key, _order(key, q), relations
+
+
+def solve_form(H: Matrix, v: Sequence[int], q: int) -> Optional[List[int]]:
+    """One solution x of x*A = v (mod q), or None, given H = augmented_form(A, q)."""
+    n = len(v)
+    w = [x % q for x in v] + [0] * (len(H[0]) - n if H else 0)
+    j = 0
+    for row in H:
+        while not row[j]:  # pivot columns increase down the form
+            j += 1
+        if j >= n:
+            break
+        c, r = divmod(w[j], row[j])
+        if r:
+            return None
+        if c:
+            w = [(x - c * y) % q for x, y in zip(w, row)]
+    if any(w[:n]):
+        return None
+    return [-x % q for x in w[n:]]
 
 
 def lattice_key(rows: Sequence[Sequence[int]], q: int, n: int) -> Tuple[Tuple[int, ...], ...]:
     """Canonical key of the subgroup of Z_q^n generated by the given rows."""
-    return tuple(tuple(r) for r in hermite_normal_form(stack_q(rows, q, n)))
+    return tuple(map(tuple, howell_form(rows, q, n)))
 
 
 def subgroup_order(rows: Sequence[Sequence[int]], q: int, n: int) -> int:
     """Order of the subgroup of Z_q^n generated by the rows."""
-    _, S, _ = smith_normal_form(stack_q(rows, q, n))
-    det = 1
-    for d in snf_diagonal(S):
-        det *= d
-    # stacked has full column rank, so det > 0
-    return q ** n // det
+    return _order(howell_form(rows, q, n), q)
 
 
 def solve_left_mod(A: Matrix, v: Sequence[int], q: int) -> Optional[List[int]]:
     """One solution x of x*A = v (mod q), or None.
 
-    A is k x n; the solution is a length-k integer vector.
+    A is k x n; the solution is a length-k vector with entries in [0, q).
     """
-    k = len(A)
-    n = len(A[0]) if k else len(v)
-    U, S, V = smith_normal_form(stack_q(A, q, n))
-    return solve_left_snf(U, snf_diagonal(S), V, v, k)
-
-
-def solve_left_snf(
-    U: Sequence[Sequence[int]],
-    diag: Sequence[int],
-    V: Sequence[Sequence[int]],
-    v: Sequence[int],
-    k: int,
-) -> Optional[List[int]]:
-    """solve_left_mod for a k-row A, given the SNF  U*stack_q(A)*V  (diagonal
-    diag), so that one factorization serves many right-hand sides.  Only the
-    first n = len(diag) rows and first k columns of U are read."""
-    n = len(diag)
-    vv = vec_mat(list(v), V)
-    w = [0] * n
-    for i in range(n):
-        d = diag[i]
-        if d == 0:
-            if vv[i] != 0:
-                return None
-            continue
-        if vv[i] % d != 0:
-            return None
-        w[i] = vv[i] // d
-    y = vec_mat(w, U)
-    return y[:k]
+    return solve_form(augmented_form(A, q), v, q)
 
 
 def left_kernel_mod(A: Matrix, q: int) -> List[List[int]]:
-    """Generators of the lattice {x in Z^k : x*A = 0 (mod q)}.
-
-    The result spans the full kernel lattice (which always contains q*Z^k).
-    """
-    k = len(A)
-    n = len(A[0]) if k else 0
-    U, S, _ = smith_normal_form(stack_q(A, q, n))
-    rank = sum(1 for d in snf_diagonal(S) if d != 0)
-    gens = [row[:k] for row in U[rank:]]
-    return [g for g in gens if any(g)]
+    """Generators of the lattice {x in Z^k : x*A = 0 (mod q)}, q*e_i included."""
+    return lattice_data(A, q, len(A[0]))[2] if A else []
 
 
 def right_kernel_mod(A: Matrix, q: int) -> List[List[int]]:

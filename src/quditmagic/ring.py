@@ -331,14 +331,11 @@ def dual_basis(basis: Sequence[RingElement]) -> List[RingElement]:
     if len(basis) != n:
         raise NotABasis("expected %d basis elements" % n)
     gram = [[trace(ring_mul(basis[i], basis[j])) for j in range(n)] for i in range(n)]
-    # U G V = S diagonal, so G^-1 = V S^-1 U modulo p^r.
-    U, S, V = linalg.smith_normal_form(gram)
-    m = ring.modulus
-    diag = linalg.snf_diagonal(S)
-    if any(d % ring.p == 0 for d in diag):
+    # G is invertible mod p^r iff the Howell form of [G | I] is [I | G^-1].
+    H = linalg.augmented_form(gram, ring.modulus)
+    if [row[:n] for row in H] != linalg.identity_matrix(n):
         raise NotABasis("Gram matrix singular modulo p^r")
-    SinvU = [[pow(d, -1, m) * x for x in row] for d, row in zip(diag, U)]
-    inv = [[x % m for x in row] for row in linalg.mat_mul(V, SinvU)]
+    inv = [row[n:] for row in H]
     dual = []
     for j in range(n):
         acc = ring.zero()

@@ -4,9 +4,9 @@ Canonical forms, orders, membership, supported and locally generated
 subgroups, commutants, dense projection states, exhaustive enumeration of
 stabilizer groups, information-convex extreme points and Pauli re-phasing.
 
-All group-theoretic questions reduce to integer lattice problems on the
-stacked exponent matrix augmented with q*I rows; Smith/Hermite normal forms
-over Z handle composite q uniformly.
+All group-theoretic questions are questions about the subgroup of
+Z_q^{2n} spanned by the exponent rows; linalg reads them off one Howell form,
+which handles composite q uniformly.
 
 Those lattice problems see only the exponent rows (a|b) of the generators,
 never their phase exponents c, and the phase of a product is affine in the
@@ -17,7 +17,7 @@ c's: compose, power and inverse are each linear in c, so
 where base(rows, x) is the phase of the same product with every c_i set to
 0.  validate, supported_subgroup and expectation_exponent therefore split
 into phase-free lattice data (kernels, relations with their base phases,
-commutation verdict, order, key, SNF factors) and integer dot products with
+commutation verdict, order, key, Howell form) and integer dot products with
 the generators' phases.  supported_subgroup and expectation_exponent keep
 the phase-free part in small fixed-size LRU memos keyed on (q, exponent
 rows[, region]) with tuple values, so the many groups that share a lattice
@@ -94,17 +94,10 @@ def _lattice_data(q: int, n: int, rows: Tuple[Tuple[int, ...], ...]) -> Tuple:
         for j in range(i + 1, len(rows)):
             if _symplectic_product(rows[i], rows[j], n, q) != 0:
                 return (i, j), (), 0, ()
+    key, order, kernel = linalg.lattice_data(rows, q, 2 * n)
     zero = [pauli.label(q, n, r[:n], r[n:], 0) for r in rows]
-    relations = tuple(
-        (tuple(rel), product_label(zero, rel).c)
-        for rel in linalg.left_kernel_mod(rows, q)
-    )
-    return (
-        None,
-        relations,
-        linalg.subgroup_order(rows, q, 2 * n),
-        linalg.lattice_key(rows, q, 2 * n),
-    )
+    relations = tuple((tuple(rel), product_label(zero, rel).c) for rel in kernel)
+    return None, relations, order, key
 
 
 def _checked_group(q: int, n: int, gens: Tuple[PauliLabel, ...], data: Tuple) -> StabilizerGroup:
@@ -136,15 +129,8 @@ def validate(tableau: Sequence[PauliLabel]) -> StabilizerGroup:
 
 
 def trivial_group(q: int, n: int) -> StabilizerGroup:
-    # the key of the zero subgroup: q*I is already in Hermite normal form
-    m = 2 * n
-    return StabilizerGroup(
-        q=q,
-        n=n,
-        gens=(),
-        order=1,
-        key=tuple(tuple(q if i == j else 0 for j in range(m)) for i in range(m)),
-    )
+    # the Howell form of the zero subgroup has no rows
+    return StabilizerGroup(q=q, n=n, gens=(), order=1, key=())
 
 
 def independent_generators(S: StabilizerGroup) -> List[Tuple[PauliLabel, int]]:
@@ -184,16 +170,8 @@ def member(S: StabilizerGroup, P: PauliLabel) -> str:
 
 
 @functools.lru_cache(maxsize=16)
-def _stacked_snf(q: int, rows: Tuple[Tuple[int, ...], ...]) -> Tuple:
-    """(U, diag, V) of the SNF of the rows stacked on q*I, as solve_left_snf
-    reads them: only the first 2n rows of U, cut to the first k columns."""
-    k, m = len(rows), len(rows[0])
-    U, D, V = linalg.smith_normal_form(linalg.stack_q(rows, q, m))
-    return (
-        tuple(tuple(row[:k]) for row in U[:m]),
-        tuple(linalg.snf_diagonal(D)),
-        tuple(tuple(row) for row in V),
-    )
+def _augmented_form(q: int, rows: Tuple[Tuple[int, ...], ...]) -> Tuple:
+    return tuple(map(tuple, linalg.augmented_form(rows, q)))
 
 
 def expectation_exponent(S: StabilizerGroup, P: PauliLabel) -> Optional[int]:
@@ -206,9 +184,8 @@ def expectation_exponent(S: StabilizerGroup, P: PauliLabel) -> Optional[int]:
         if any(P.a) or any(P.b):
             return None
         return P.c
-    rows = _rows_key(S.gens)
-    U, diag, V = _stacked_snf(S.q, rows)
-    x = linalg.solve_left_snf(U, diag, V, pauli.symplectic_vector(P), len(rows))
+    H = _augmented_form(S.q, _rows_key(S.gens))
+    x = linalg.solve_form(H, pauli.symplectic_vector(P), S.q)
     if x is None:
         return None
     s = product_label(S.gens, x)
@@ -280,18 +257,8 @@ def commutant_on_region(S: StabilizerGroup, region: Sequence[int]) -> List[Pauli
     region = sorted(region)
     m = len(region)
     q = S.q
-    if not S.gens:
-        rows_c: List[List[int]] = []
-    else:
-        rows_c = []
-        for g in S.gens:
-            rows_c.append(
-                [-g.b[i] for i in region] + [g.a[i] for i in region]
-            )
-    if rows_c:
-        kernel = linalg.right_kernel_mod(rows_c, q)
-    else:
-        kernel = [[1 if i == j else 0 for j in range(2 * m)] for i in range(2 * m)]
+    rows_c = [[-g.b[i] for i in region] + [g.a[i] for i in region] for g in S.gens]
+    kernel = linalg.right_kernel_mod(rows_c, q) if rows_c else linalg.identity_matrix(2 * m)
     out = []
     for v in kernel:
         v = [x % q for x in v]
@@ -479,7 +446,7 @@ def enumerate_stabilizer_groups(
     target = q ** n if pure_only else None
     count = 0
     for rows in isotropic_lattices(q, n):
-        order = linalg.subgroup_order(rows, q, 2 * n)
+        key, order, rels = linalg.lattice_data(rows, q, 2 * n)
         if target is not None and order != target:
             continue
         if not rows:
@@ -489,7 +456,6 @@ def enumerate_stabilizer_groups(
             yield trivial_group(q, n)
             continue
         base = [pauli.label(q, n, r[:n], r[n:], 0) for r in rows]
-        rels = linalg.left_kernel_mod(rows, q)
         C, orders = linalg.independent_decomposition(rels, len(rows))
         ind = []
         for crow, d in zip(C, orders):
@@ -498,7 +464,6 @@ def enumerate_stabilizer_groups(
             g = product_label(base, crow)
             ind.append((_consistent_base_phase(g, d), d))
         deltas = [d for _, d in ind]
-        key = linalg.lattice_key(rows, q, 2 * n)
         for shifts in itertools.product(*(range(d) for d in deltas)):
             gens = [
                 pauli.phase_shifted(g, (2 * q // d) * t)
@@ -563,23 +528,21 @@ def extreme_points(
         if member(S_r, g) != MEMBER_PHASE_MATCH:
             raise ValueError("balls are not contained in omega")
 
-    # Greedy completion of G(S_loc) to G(S_r) in lexicographic label order.
-    current: List[PauliLabel] = list(S_loc.gens)
-    cur_rows = [pauli.symplectic_vector(g) for g in current]
-    cur_key = linalg.lattice_key(cur_rows, S_r.q, 2 * S_r.n)
+    # Greedy completion of G(S_loc) to G(S_r) in lexicographic label order;
+    # keys are Howell forms, so equal keys mean equal subgroups.
+    cur_rows = [pauli.symplectic_vector(g) for g in S_loc.gens]
+    cur_key = S_loc.key
     l_gens: List[PauliLabel] = []
     for elem in sorted(elements(S_r), key=pauli.label_sort_key):
+        if cur_key == S_r.key:
+            break
         if not any(elem.a) and not any(elem.b):
             continue
         trial = cur_rows + [pauli.symplectic_vector(elem)]
         key = linalg.lattice_key(trial, S_r.q, 2 * S_r.n)
         if key != cur_key:
             l_gens.append(elem)
-            current.append(elem)
-            cur_rows = trial
-            cur_key = key
-        if linalg.subgroup_order(cur_rows, S_r.q, 2 * S_r.n) == S_r.order:
-            break
+            cur_rows, cur_key = trial, key
 
     # Characters of S_r trivial on S_loc, evaluated through an independent
     # generating set; each one re-phases the free generators.
@@ -695,6 +658,8 @@ def tableau_to_text(gens: Sequence[PauliLabel]) -> str:
 def tableau_from_text(text: str) -> List[PauliLabel]:
     lines = [ln for ln in text.strip().splitlines() if ln.strip()]
     q, n, k = (int(x) for x in lines[0].split())
+    if q < 2 or n < 1 or k < 1:
+        raise ValueError("tableau header needs q >= 2, n >= 1 and k >= 1")
     if len(lines) != k + 1:
         raise ValueError("tableau line count mismatch")
     gens = []

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -208,6 +209,53 @@ def test_toric_annulus_too_small(capsys):
         capsys, ["toric", "annulus", "--q", "2", "--lx", "2", "--ly", "2"]
     )
     assert code == cli.EXIT_USAGE
+
+
+@pytest.mark.parametrize("argv", [
+    ["toric", "smatrix", "--q", "2", "--lx", "1", "--ly", "2"],
+    ["toric", "smatrix", "--q", "1", "--lx", "2", "--ly", "2"],
+    ["toric", "annulus", "--q", "2", "--lx", "2", "--ly", "1"],
+    ["toric", "annulus", "--q", "1", "--lx", "3", "--ly", "4"],
+    ["toric", "smatrix", "--q", "2", "--lx", "2", "--ly", "2", "--pairs", "1,0,x,1"],
+    ["toric", "smatrix", "--q", "2", "--lx", "2", "--ly", "2", "--pairs", "1,0,0"],
+])
+def test_toric_bad_geometry_or_pairs_is_usage_error(capsys, argv):
+    code, out, err = run_cli(capsys, argv)
+    assert code == cli.EXIT_USAGE, err
+    assert "usage error" in err and out == ""
+
+
+@pytest.mark.parametrize("argv,digest", [
+    (["toric", "smatrix", "--q", "3", "--lx", "3", "--ly", "3"],
+     "79e56c3b6151e74ba4adc9a556fd4472274002bff675e2e48856c7ca69a7d149"),
+    (["toric", "annulus", "--q", "3", "--lx", "3", "--ly", "4"],
+     "2351b214e14a9fe63609906070c13e90d53f4fd2c3f76ab629a624a59c142f41"),
+    (["toric", "annulus", "--q", "2", "--lx", "4", "--ly", "4"],
+     "cee2ad4c557340a8b5567de83f716efad5062717399ca57c4f64e22bb94f92db"),
+])
+def test_toric_stdout_pinned(capsys, argv, digest):
+    assert cli.main(argv) == 0
+    out = capsys.readouterr().out.encode()
+    assert hashlib.sha256(out).hexdigest() == digest
+
+
+def test_magic_bad_header_is_data_error(capsys, tmp_path):
+    path = tmp_path / "q1.json"
+    path.write_text(json.dumps({"q": 1, "n": 1, "amplitudes": [[1.0, 0.0]]}))
+    code, out, err = run_cli(capsys, ["magic", "--state", str(path)])
+    assert code == cli.EXIT_DATA
+    assert "data error" in err
+
+
+@pytest.mark.parametrize("header", ["1 1 1\n1 0 0\n", "3 2 0\n"])
+def test_rephase_bad_header_is_data_error(capsys, tmp_path, header):
+    tab = tmp_path / "tab.txt"
+    tab.write_text(header)
+    code, out, err = run_cli(
+        capsys, ["rephase", "--tableau", str(tab), "--targets", "1"]
+    )
+    assert code == cli.EXIT_DATA
+    assert "data error" in err and out == ""
 
 
 def test_witness_mi(capsys, tmp_path):

@@ -27,6 +27,11 @@ def test_state_from_amplitudes_validation():
         dense.state_from_amplitudes(2, 2, [1.0, 0.0])
     v = dense.state_from_amplitudes(2, 1, [1.0, 0.0])
     assert v.dtype == complex
+    # a header with q < 2 or n < 1 is malformed even when the length fits
+    with pytest.raises(ValueError):
+        dense.state_from_amplitudes(1, 1, [1.0])
+    with pytest.raises(ValueError):
+        dense.state_from_amplitudes(2, 0, [1.0])
 
 
 def test_partial_trace_product_state():

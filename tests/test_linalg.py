@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -96,26 +97,6 @@ def test_smith_normal_form_properties(A):
             assert d[i + 1] == 0
 
 
-@settings(max_examples=40, deadline=None)
-@given(small_matrix(max_dim=3, max_entry=5))
-def test_hermite_form_is_lattice_invariant(A):
-    H = linalg.hermite_normal_form(A)
-    # prepending an integer row mix of existing rows leaves the lattice alone
-    if A and len(A) >= 2:
-        mixed = [[x + y for x, y in zip(A[0], A[1])]] + A
-        assert linalg.hermite_normal_form(mixed) == H
-    negated = [[-x for x in row] for row in A]
-    assert linalg.hermite_normal_form(negated + A) == H
-
-
-def test_hermite_form_shape():
-    H = linalg.hermite_normal_form([[2, 1], [0, 3]])
-    # pivots positive, entries above a pivot reduced into [0, pivot)
-    assert H == [[2, 1], [0, 3]] or H == [[1, 2], [0, 3]]
-    H2 = linalg.hermite_normal_form([[4, 2], [2, 1]])
-    assert H2 == [[2, 1]]
-
-
 def brute_subgroup(rows, q, n):
     seen = {tuple([0] * n)}
     frontier = [tuple([0] * n)]
@@ -127,6 +108,61 @@ def brute_subgroup(rows, q, n):
                 seen.add(w)
                 frontier.append(w)
     return seen
+
+
+def brute_kernel(A, q):
+    return {
+        x
+        for x in itertools.product(range(q), repeat=len(A))
+        if all(sum(c * a for c, a in zip(x, col)) % q == 0 for col in zip(*A))
+    }
+
+
+def check_howell_shape(H, q):
+    prev = -1
+    for i, row in enumerate(H):
+        assert all(0 <= x < q for x in row)
+        j = next(c for c, x in enumerate(row) if x)
+        assert j > prev
+        prev = j
+        # pivots divide q; entries above a pivot lie below it
+        assert q % row[j] == 0
+        assert all(0 <= above[j] < row[j] for above in H[:i])
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(min_value=2, max_value=12),
+    st.integers(min_value=1, max_value=3).flatmap(
+        lambda n: st.lists(
+            st.lists(st.integers(min_value=-30, max_value=30), min_size=n, max_size=n),
+            min_size=1,
+            max_size=4,
+        )
+    ),
+    st.lists(st.integers(min_value=-3, max_value=3), min_size=4, max_size=4),
+)
+def test_howell_form_is_lattice_invariant(q, A, mix):
+    n = len(A[0])
+    H = linalg.howell_form(A, q, n)
+    check_howell_shape(H, q)
+    assert brute_subgroup(H, q, n) == brute_subgroup(A, q, n)
+    # the form depends on the subgroup only: a row mix of existing rows,
+    # negated rows, duplicates and q-multiples leave it alone
+    mixed = [[sum(c * row[j] for c, row in zip(mix, A)) for j in range(n)]]
+    assert linalg.howell_form(mixed + A, q, n) == H
+    assert linalg.howell_form([[-x for x in row] for row in A][::-1], q, n) == H
+    assert linalg.howell_form(A + A + [[q * x for x in A[0]]], q, n) == H
+    assert linalg.lattice_key(A, q, n) == tuple(map(tuple, H))
+
+
+def test_howell_form_shape():
+    assert linalg.howell_form([[2, 1]], 4, 2) == [[2, 1], [0, 2]]
+    assert linalg.howell_form([[4, 2], [2, 1]], 8, 2) == [[2, 1], [0, 4]]
+    # a unit pivot is scaled to 1 and clears the column above it
+    assert linalg.howell_form([[1, 5], [0, 5]], 6, 2) == [[1, 0], [0, 1]]
+    assert linalg.howell_form([[3, 3], [6, 0]], 6, 2) == [[3, 3]]
+    assert linalg.howell_form([], 5, 3) == []
 
 
 @settings(max_examples=40, deadline=None)
@@ -166,6 +202,38 @@ def test_solve_left_mod_agrees_with_search(q, A, v):
         assert x is not None
         w = [sum(c * a for c, a in zip(x, col)) % q for col in zip(*A)]
         assert w == [t % q for t in v]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.sampled_from([4, 6, 8, 9, 12]),
+    st.integers(min_value=1, max_value=3).flatmap(
+        lambda n: st.lists(
+            st.lists(st.integers(min_value=0, max_value=11), min_size=n, max_size=n),
+            min_size=1,
+            max_size=3,
+        )
+    ),
+    st.lists(st.integers(min_value=0, max_value=11), min_size=3, max_size=3),
+)
+def test_kernel_and_solve_at_composite_moduli(q, A, v):
+    # 4, 6 and 12 are the moduli 2q of lift_phase_free's phase repair
+    n = len(A[0])
+    v = v[:n]
+    gens = linalg.left_kernel_mod(A, q)
+    spanned = brute_subgroup([[c % q for c in g] for g in gens], q, len(A))
+    assert spanned == brute_kernel(A, q)
+    # over Z they span the kernel lattice itself, which contains q*Z^k: its
+    # index q^k / |kernel mod q| is the product of their invariant factors
+    _, orders = linalg.independent_decomposition(gens, len(A))
+    assert math.prod(orders) * len(spanned) == q ** len(A)
+    x = linalg.solve_left_mod(A, v, q)
+    image = brute_subgroup(A, q, n)
+    if tuple(t % q for t in v) in image:
+        assert x is not None
+        assert [sum(c * a for c, a in zip(x, col)) % q for col in zip(*A)] == [t % q for t in v]
+    else:
+        assert x is None
 
 
 def test_left_kernel_spans_full_kernel():

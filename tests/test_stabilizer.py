@@ -30,6 +30,19 @@ def test_validate_rejects_inconsistent_phase():
         stabilizer.validate([lbl(2, 1, [1], [0], 0), lbl(2, 1, [1], [0], 2)])
 
 
+@pytest.mark.parametrize("q,accepted", [(2, {1, 3}), (3, {0, 2, 4})])
+def test_relations_include_q_multiples(q, accepted):
+    # ZX has no relation below its q-th power, so only the relation lattice's
+    # q*Z rows decide its phase: (omega_{2q}^c ZX)^q must be exactly I
+    for c in range(2 * q):
+        g = lbl(q, 1, [1], [1], c)
+        if c in accepted:
+            assert stabilizer.validate([g]).order == q
+        else:
+            with pytest.raises(stabilizer.InconsistentPhase):
+                stabilizer.validate([g])
+
+
 def test_validate_order_and_key():
     S = stabilizer.validate([lbl(2, 2, [1, 1], [0, 0]), lbl(2, 2, [0, 0], [1, 1])])
     assert S.order == 4
@@ -304,3 +317,9 @@ def test_tableau_text_round_trip():
     assert stabilizer.tableau_from_text(text) == gens
     with pytest.raises(ValueError):
         stabilizer.tableau_from_text("2 1 2\n1 0 0\n")
+
+
+@pytest.mark.parametrize("text", ["1 1 1\n1 0 0\n", "0 1 1\n1 0 0\n", "3 0 1\n0\n", "3 2 0\n"])
+def test_tableau_header_validation(text):
+    with pytest.raises(ValueError):
+        stabilizer.tableau_from_text(text)
