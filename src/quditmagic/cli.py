@@ -245,7 +245,7 @@ def cmd_witness(args, config: RunConfig) -> int:
             verdict = witness.mi_forbidden_window(
                 dense.density_of(psi), q, n, A, B, args.tol, config
             )
-        except dense.OverlappingRegions as exc:
+        except (dense.OverlappingRegions, witness.InvalidInput) as exc:
             raise UsageError(str(exc))
         _emit(config, {
             "command": "witness mi",
@@ -262,7 +262,7 @@ def cmd_witness(args, config: RunConfig) -> int:
             rep = witness.mi_stability_check(
                 psi, q, n, args.depth, A, B, config=config
             )
-        except dense.OverlappingRegions as exc:
+        except (dense.OverlappingRegions, witness.InvalidInput) as exc:
             raise UsageError(str(exc))
         _emit(config, {
             "command": "witness sandwich",

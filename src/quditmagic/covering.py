@@ -243,11 +243,8 @@ def lift_phase_free(q: int, n: int, rows: Sequence[Sequence[int]]) -> stabilizer
     """
     labels = []
     for row in rows:
-        a, b = list(row[:n]), list(row[n:])
-        g0 = pauli.label(q, n, a, b, 0)
-        delta = pauli.order(g0)
-        ab = sum(x * y for x, y in zip(a, b))
-        labels.append(pauli.label(q, n, a, b, ab * (delta - 1)))
+        g0 = pauli.label(q, n, list(row[:n]), list(row[n:]), 0)
+        labels.append(stabilizer._consistent_base_phase(g0, pauli.order(g0)))
     sym = [pauli.symplectic_vector(g) for g in labels]
     rels = linalg.left_kernel_mod(sym, q)
     if rels:

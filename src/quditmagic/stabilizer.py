@@ -1,8 +1,11 @@
 """Stabilizer groups over Z_q and stabilizer projection states.
 
 Canonical forms, orders, membership, supported and locally generated
-subgroups, commutants, dense projection states, exhaustive enumeration of
-stabilizer groups, information-convex extreme points and Pauli re-phasing.
+subgroups, commutants, conjugated groups, exhaustive enumeration of
+stabilizer groups, information-convex extreme points, Pauli re-phasing, and
+the one place that turns a group into a state: the dense reference
+sps_dense, and sps_vector, which projects one basis state of a pure state's
+support and forms no q^n x q^n matrix.
 
 All group-theoretic questions are questions about the subgroup of
 Z_q^{2n} spanned by the exponent rows; linalg reads them off one Howell form,
@@ -29,7 +32,7 @@ phase checks still run on every call.
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -321,18 +324,34 @@ def sps_dense(state: StabilizerProjectionState, config: RunConfig = DEFAULT_CONF
 
 
 def sps_vector(state: StabilizerProjectionState, config: RunConfig = DEFAULT_CONFIG) -> np.ndarray:
-    """State vector of a pure stabilizer projection state (|S| = q^n)."""
+    """State vector of a pure stabilizer projection state (|S| = q^n), formed
+    without q^n x q^n matrices: the state is proportional to sum_{s in S} s|j>
+    for a basis state |j> fixed by every diagonal element omega_{2q}^c Z^a of
+    S (a.j = -c/2 mod q), so |j> is projected through the independent
+    generators."""
     S = state.group
     if state.rank != 1:
         raise ValueError("projection state is not pure")
-    rho = sps_dense(state, config)
-    col = int(np.argmax(np.linalg.norm(rho, axis=0)))
-    v = rho[:, col]
+    q, n = S.q, S.n
+    check_dense(q ** n, config)
+    # the diagonal elements: products over the left kernel of the X-parts
+    diag = [product_label(S.gens, x) for x in linalg.left_kernel_mod([g.b for g in S.gens], q)]
+    j = linalg.solve_right_mod([d.a for d in diag], [-d.c // 2 for d in diag], q)
+    v = np.zeros(q ** n, dtype=complex)
+    v[sum(x * q ** i for i, x in enumerate(j))] = 1.0
+    for g, d in independent_generators(S):
+        v = sum(pauli.apply_to_state(pauli.power(g, m), v) for m in range(d)) / d
     v = v / np.linalg.norm(v)
     # deterministic global phase: first significant amplitude real positive
     idx = int(np.argmax(np.abs(v) > 1e-9))
-    v = v * (np.conj(v[idx]) / np.abs(v[idx]))
-    return v
+    return v * (np.conj(v[idx]) / np.abs(v[idx]))
+
+
+def conjugated(S: StabilizerGroup, U: PauliLabel) -> StabilizerGroup:
+    """The group U S U^dagger.  U g U^dagger = omega^{r(U, g)} g, so each
+    generator's phase exponent shifts by 2 r(U, g); rows, order and key stay."""
+    gens = tuple(pauli.phase_shifted(g, 2 * pauli.commutation_exponent(U, g)) for g in S.gens)
+    return replace(S, gens=gens)
 
 
 # ---------------------------------------------------------------------------

@@ -136,36 +136,17 @@ def ground_group(code: ToricCode, sector: Tuple[int, int] = (0, 0)) -> Stabilize
 
 def ground_state(code: ToricCode, sector: Tuple[int, int] = (0, 0),
                  config: RunConfig = DEFAULT_CONFIG) -> np.ndarray:
-    """Dense ground-state vector of the sector, built by sequentially
-    projecting a basis seed onto the +1 eigenspace of each independent
-    generator (vector-level, no dense matrices)."""
+    """Dense ground-state vector of the sector: the stabilizer state of its
+    ground group (vector-level, no dense matrices)."""
     check_dense(code.lattice.q ** code.lattice.n_edges, config)
     return _ground_vector(code, tuple(sector)).copy()
 
 
 @functools.lru_cache(maxsize=8)
 def _ground_vector(code: ToricCode, sector: Tuple[int, int]) -> np.ndarray:
-    dim = code.lattice.q ** code.lattice.n_edges
-    S = ground_group(code, sector)
-    ind = stabilizer.independent_generators(S)
-    for seed in range(dim):
-        v = np.zeros(dim, dtype=complex)
-        v[seed] = 1.0
-        dead = False
-        for g, d in ind:
-            acc = np.zeros(dim, dtype=complex)
-            for m in range(d):
-                acc += pauli.apply_to_state(pauli.power(g, m), v)
-            v = acc / d
-            if np.linalg.norm(v) < 1e-9:
-                dead = True
-                break
-        if dead:
-            continue
-        v = v / np.linalg.norm(v)
-        idx = int(np.argmax(np.abs(v) > 1e-9))
-        return v * (np.conj(v[idx]) / np.abs(v[idx]))
-    raise AssertionError("no basis seed survives the ground-space projection")
+    # ground_state has checked the caller's dense budget
+    state = StabilizerProjectionState(ground_group(code, sector))
+    return stabilizer.sps_vector(state, RunConfig(dense_limit=state.group.q ** state.group.n))
 
 
 # ---------------------------------------------------------------------------
@@ -188,101 +169,79 @@ class StringPath:
     steps: Tuple[Tuple[int, int], ...]  # (edge index, traversal sign)
 
 
-def primal_path(lat: ToricLattice, vertices: Sequence[Tuple[int, int]]) -> StringPath:
-    """Path along lattice edges through consecutive adjacent vertices.
+# One move rule for both kinds of path.  A move from vertex or plaquette
+# (x, y) gives its displacement and, per kind, the edge it uses as (edge
+# method, x offset, y offset, sign).  A primal step follows the edge and is
+# +1 along its orientation (+x or +y), -1 against it; a dual step crosses the
+# edge and its sign is the z-component of (edge orientation) x (step
+# direction), so a +y step crossing a horizontal edge gets +1, a +x step
+# crossing a vertical edge gets -1, and the reversed steps flip the sign.
+_H, _V = ToricLattice.h_edge, ToricLattice.v_edge
+_MOVES = {
+    "+x": ((1, 0), {PRIMAL: (_H, 0, 0, 1), DUAL: (_V, 1, 0, -1)}),
+    "-x": ((-1, 0), {PRIMAL: (_H, -1, 0, -1), DUAL: (_V, 0, 0, 1)}),
+    "+y": ((0, 1), {PRIMAL: (_V, 0, 0, 1), DUAL: (_H, 0, 1, 1)}),
+    "-y": ((0, -1), {PRIMAL: (_V, 0, -1, -1), DUAL: (_H, 0, 0, -1)}),
+}
 
-    The sign of a step is +1 when it follows the edge orientation (+x or +y)
-    and -1 against it.  On a length-2 torus the ambiguous wrap step is read
-    in the positive direction.
-    """
+
+def _walk(lat: ToricLattice, kind: str, start: Tuple[int, int],
+          moves: Sequence[str]) -> StringPath:
+    x, y = start
     steps = []
-    for (x1, y1), (x2, y2) in zip(vertices, vertices[1:]):
+    for mv in moves:
+        if not isinstance(mv, str) or mv not in _MOVES:
+            raise InvalidPath("unknown move %r" % (mv,))
+        (dx, dy), rules = _MOVES[mv]
+        edge, ox, oy, sign = rules[kind]
+        steps.append((edge(lat, x + ox, y + oy), sign))
+        x, y = x + dx, y + dy
+    return StringPath(kind=kind, steps=tuple(steps))
+
+
+def _path(lat: ToricLattice, kind: str, points: Sequence[Tuple[int, int]],
+          what: str) -> StringPath:
+    """The walk through consecutive adjacent points; on a length-2 torus the
+    ambiguous wrap step is read in the positive direction."""
+    moves = []
+    for (x1, y1), (x2, y2) in zip(points, points[1:]):
         dx = (x2 - x1) % lat.Lx
         dy = (y2 - y1) % lat.Ly
         if dy == 0 and dx == 1:
-            steps.append((lat.h_edge(x1, y1), 1))
+            moves.append("+x")
         elif dy == 0 and dx == lat.Lx - 1:
-            steps.append((lat.h_edge(x2, y2), -1))
+            moves.append("-x")
         elif dx == 0 and dy == 1:
-            steps.append((lat.v_edge(x1, y1), 1))
+            moves.append("+y")
         elif dx == 0 and dy == lat.Ly - 1:
-            steps.append((lat.v_edge(x2, y2), -1))
+            moves.append("-y")
         else:
-            raise InvalidPath("vertices %r -> %r are not adjacent" % ((x1, y1), (x2, y2)))
-    return StringPath(kind=PRIMAL, steps=tuple(steps))
+            raise InvalidPath("%s %r -> %r are not adjacent" % (what, (x1, y1), (x2, y2)))
+    return _walk(lat, kind, points[0] if moves else (0, 0), moves)
+
+
+def primal_path(lat: ToricLattice, vertices: Sequence[Tuple[int, int]]) -> StringPath:
+    """Path along lattice edges through consecutive adjacent vertices."""
+    return _path(lat, PRIMAL, vertices, "vertices")
 
 
 def dual_path(lat: ToricLattice, plaquettes: Sequence[Tuple[int, int]]) -> StringPath:
-    """Path through consecutive adjacent plaquette centers.
-
-    Each step crosses one primal edge; its sign is the z-component of the
-    cross product (edge orientation) x (step direction), so a +y step
-    crossing a horizontal edge gets +1, a +x step crossing a vertical edge
-    gets -1, and the reversed steps flip the sign.
-    """
-    steps = []
-    for (x1, y1), (x2, y2) in zip(plaquettes, plaquettes[1:]):
-        dx = (x2 - x1) % lat.Lx
-        dy = (y2 - y1) % lat.Ly
-        if dy == 0 and dx == 1:
-            steps.append((lat.v_edge(x1 + 1, y1), -1))
-        elif dy == 0 and dx == lat.Lx - 1:
-            steps.append((lat.v_edge(x1, y1), 1))
-        elif dx == 0 and dy == 1:
-            steps.append((lat.h_edge(x1, y1 + 1), 1))
-        elif dx == 0 and dy == lat.Ly - 1:
-            steps.append((lat.h_edge(x1, y1), -1))
-        else:
-            raise InvalidPath("plaquettes %r -> %r are not adjacent" % ((x1, y1), (x2, y2)))
-    return StringPath(kind=DUAL, steps=tuple(steps))
+    """Path through consecutive adjacent plaquette centers, each step crossing
+    one primal edge."""
+    return _path(lat, DUAL, plaquettes, "plaquettes")
 
 
 def primal_walk(lat: ToricLattice, start: Tuple[int, int],
                 moves: Sequence[str]) -> StringPath:
     """Primal path given by a start vertex and explicit moves, which stays
     unambiguous on length-2 tori where opposite steps coincide."""
-    x, y = start
-    steps = []
-    for mv in moves:
-        if mv == "+x":
-            steps.append((lat.h_edge(x, y), 1))
-            x += 1
-        elif mv == "-x":
-            steps.append((lat.h_edge(x - 1, y), -1))
-            x -= 1
-        elif mv == "+y":
-            steps.append((lat.v_edge(x, y), 1))
-            y += 1
-        elif mv == "-y":
-            steps.append((lat.v_edge(x, y - 1), -1))
-            y -= 1
-        else:
-            raise InvalidPath("unknown move %r" % (mv,))
-    return StringPath(kind=PRIMAL, steps=tuple(steps))
+    return _walk(lat, PRIMAL, start, moves)
 
 
 def dual_walk(lat: ToricLattice, start: Tuple[int, int],
               moves: Sequence[str]) -> StringPath:
-    """Dual path given by a start plaquette and explicit moves; signs follow
-    the same cross-product rule as dual_path."""
-    x, y = start
-    steps = []
-    for mv in moves:
-        if mv == "+x":
-            steps.append((lat.v_edge(x + 1, y), -1))
-            x += 1
-        elif mv == "-x":
-            steps.append((lat.v_edge(x, y), 1))
-            x -= 1
-        elif mv == "+y":
-            steps.append((lat.h_edge(x, y + 1), 1))
-            y += 1
-        elif mv == "-y":
-            steps.append((lat.h_edge(x, y), -1))
-            y -= 1
-        else:
-            raise InvalidPath("unknown move %r" % (mv,))
-    return StringPath(kind=DUAL, steps=tuple(steps))
+    """Dual path given by a start plaquette and explicit moves."""
+    return _walk(lat, DUAL, start, moves)
 
 
 def anyon_string(lat: ToricLattice, t: AnyonType,
@@ -623,23 +582,6 @@ def _poly_fidelity(P1: _Poly, rank1: int, P2: _Poly, q: int, m: int) -> float:
     return t1 ** 1.5 / math.sqrt(t2)
 
 
-def _poly_conjugate(P: _Poly, U: PauliLabel, q: int, m: int) -> _Poly:
-    out: _Poly = {}
-    for (a, b), v in P.items():
-        s = pauli.label(q, m, a, b, 0)
-        r = pauli.commutation_exponent(U, s)
-        out[(a, b)] = v * cmath.exp(2j * math.pi * r / q)
-    return out
-
-
-def _poly_dense(P: _Poly, q: int, m: int, config: RunConfig) -> np.ndarray:
-    dim = q ** m
-    out = np.zeros((dim, dim), dtype=complex)
-    for (a, b), v in P.items():
-        out += v * pauli.to_dense(pauli.label(q, m, a, b, 0), config)
-    return out
-
-
 @dataclass(frozen=True)
 class AnnulusReport:
     ok: bool
@@ -726,9 +668,8 @@ def annulus_extreme_points(code: ToricCode,
                                      points[j].assignment)
             ]
             P = stabilizer.find_rephasing_pauli(points[i].l_gens, deltas)
-            defect = _poly_diff_norm(
-                _poly_conjugate(polys[i], P, q, m), polys[j], q, m
-            )
+            moved = _poly_of_group(stabilizer.conjugated(points[i].state.group, P))
+            defect = _poly_diff_norm(moved, polys[j], q, m)
             max_defect = max(max_defect, defect)
             if defect > 1e-9:
                 connected = False
@@ -736,18 +677,11 @@ def annulus_extreme_points(code: ToricCode,
     anyon_matched = True
     min_fid = 1.0
     if strings:
-        D = q ** m
-        pos = {site: k for k, site in enumerate(omega)}
         used = set()
         for t, U in strings:
-            twisted: _Poly = {}
-            for s in stabilizer.elements(s_r):
-                r = pauli.commutation_exponent(U, s)
-                c = (s.c + 2 * r) % (2 * q)
-                a = tuple(s.a[site] for site in omega)
-                b = tuple(s.b[site] for site in omega)
-                twisted[(a, b)] = twisted.get((a, b), 0.0) \
-                    + cmath.exp(1j * math.pi * c / q) / D
+            twisted = _poly_of_group(
+                stabilizer.restrict(stabilizer.conjugated(s_r, U), omega)
+            )
             fids = [
                 _poly_fidelity(polys[i], ranks[i], twisted, q, m)
                 for i in range(len(points))
@@ -765,7 +699,7 @@ def annulus_extreme_points(code: ToricCode,
     dense_checked = False
     if q ** m <= min(config.dense_limit, 4096):
         dense_checked = True
-        mats = [_poly_dense(p, q, m, config) for p in polys]
+        mats = [stabilizer.sps_dense(pt.state, config) for pt in points]
         for i in range(len(mats)):
             for j in range(i + 1, len(mats)):
                 comm = mats[i] @ mats[j] - mats[j] @ mats[i]

@@ -21,6 +21,10 @@ VERDICT_FIRES = "fires"
 VERDICT_SILENT = "silent"
 
 
+class InvalidInput(ValueError):
+    """A region, tolerance or depth that a witness cannot take."""
+
+
 @dataclass(frozen=True)
 class MiWitnessVerdict:
     mi: float
@@ -50,18 +54,27 @@ def smallest_prime_divisor(q: int) -> int:
     return min(p for p, _ in factorize(q).factors)
 
 
+def _check_regions(n: int, *regions: Sequence[int]) -> None:
+    for R in regions:
+        if len(set(R)) != len(R) or not all(0 <= s < n for s in R):
+            raise InvalidInput("region %r needs distinct sites in [0, %d)" % (list(R), n))
+
+
 def mi_forbidden_window(rho: np.ndarray, q: int, n: int,
                         A: Sequence[int], B: Sequence[int],
                         tol: float = 1e-6,
                         config: RunConfig = DEFAULT_CONFIG) -> MiWitnessVerdict:
     """Fires when I(A:B) lands strictly inside (tol, log p - tol), p the
     smallest prime divisor of q; a firing certifies that the state is not a
-    stabilizer projection state."""
+    stabilizer projection state.  tol must be >= 0."""
+    if not tol >= 0:
+        raise InvalidInput("tol must be >= 0, got %r" % (tol,))
+    _check_regions(n, A, B)
     p = smallest_prime_divisor(q)
     mi = dense.mutual_information(rho, q, n, A, B, config)
     lo = tol
     hi = log_value(p, config) - tol
-    fires = lo <= mi <= hi
+    fires = lo < mi < hi
     margin = min(mi - lo, hi - mi)
     return MiWitnessVerdict(
         mi=mi,
@@ -131,6 +144,9 @@ def mi_stability_check(psi: np.ndarray, q: int, n: int, depth: int,
                        config: RunConfig = DEFAULT_CONFIG) -> SandwichReport:
     """Depth-d stability: I(A^{-d}:B^{-d}) <= I_after(A:B) <= I(A^{+d}:B^{+d})
     for any depth-d brickwork circuit (a random one is sampled here)."""
+    if depth < 0:
+        raise InvalidInput("depth must be >= 0, got %d" % depth)
+    _check_regions(n, A, B)
     Ap = _thicken(A, depth, n)
     Bp = _thicken(B, depth, n)
     if set(Ap) & set(Bp):

@@ -268,6 +268,32 @@ def test_witness_mi(capsys, tmp_path):
     assert abs(body["mi"] - 2.0) < 1e-9
 
 
+@pytest.mark.parametrize("args", [
+    ["mi", "--regionA", "0", "--regionB", "2", "--tol", "-0.5"],
+    ["mi", "--regionA", "0", "--regionB", "7"],
+    ["mi", "--regionA", "0", "--regionB", "-1"],
+    ["mi", "--regionA", "0,0", "--regionB", "2"],
+    ["sandwich", "--regionA", "0", "--regionB", "2", "--depth", "-1"],
+    ["sandwich", "--regionA", "0", "--regionB", "7", "--depth", "0"],
+    ["sandwich", "--regionA", "0,0", "--regionB", "2", "--depth", "0"],
+])
+def test_witness_bad_input_is_usage_error(capsys, tmp_path, args):
+    state = write_state(tmp_path, 2, 3, [1, 0, 0, 0, 0, 0, 0, 0])
+    code, out, err = run_cli(capsys, ["witness", args[0], "--state", state] + args[1:])
+    assert code == cli.EXIT_USAGE
+    assert "usage error" in err and out == ""
+
+
+def test_witness_mi_silent_on_product_state_at_zero_tol(capsys, tmp_path):
+    state = write_state(tmp_path, 2, 3, [1, 0, 0, 0, 0, 0, 0, 0])
+    body = run_json(
+        capsys,
+        ["witness", "mi", "--state", state, "--regionA", "0", "--regionB", "2",
+         "--tol", "0"],
+    )
+    assert body["verdict"] == "silent"
+
+
 def test_witness_sandwich(capsys, tmp_path):
     rng = np.random.default_rng(0)
     amps = rng.normal(size=16) + 1j * rng.normal(size=16)

@@ -179,6 +179,17 @@ def test_smax_lgr_clifford_invariant_and_vanishing():
     assert abs(c.s_max_set) < 1e-6 and abs(c.lgr) < 1e-6
 
 
+def test_smax_equals_stabilizer_extent_literals(dic12):
+    # for pure states lam is the stabilizer extent: xi(T) = 1/cos^2(pi/8),
+    # multiplicative on single-qubit products (Bravyi et al., Quantum 3, 181
+    # (2019))
+    c2 = math.cos(math.pi / 8) ** 2
+    assert abs(magic.smax_lgr_pure(t_state(), dic12).lam - 1 / c2) < 1e-12
+    dic22 = magic.build_dictionary(2, 2, RunConfig())
+    tt = np.kron(t_state(), t_state())
+    assert abs(magic.smax_lgr_pure(tt, dic22).lam - 1 / c2 ** 2) < 1e-12
+
+
 def test_rel_entropy_t_state(dic12):
     rho = dense.density_of(t_state())
     res = magic.rel_entropy_magic(rho, dic12)

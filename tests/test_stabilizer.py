@@ -118,6 +118,48 @@ def test_sps_vector_requires_pure():
         stabilizer.sps_vector(stabilizer.StabilizerProjectionState(S))
 
 
+def check_sps_vector(state):
+    v = stabilizer.sps_vector(state)
+    assert abs(np.linalg.norm(v) - 1) < 1e-12
+    for g in state.group.gens:
+        assert np.allclose(pauli.apply_to_state(g, v), v, atol=1e-12)
+    assert np.abs(np.outer(v, v.conj()) - stabilizer.sps_dense(state)).max() < 1e-12
+    first = v[np.argmax(np.abs(v) > 1e-9)]
+    assert first.real > 0 and abs(first.imag) < 1e-15
+    return v
+
+
+@pytest.mark.parametrize("n,q", [(1, 2), (1, 3), (1, 4), (1, 5), (1, 6), (2, 2), (2, 3)])
+def test_sps_vector_matches_dense_oracle(n, q):
+    for st in stabilizer.enumerate_pure_stabilizer_states(n, q):
+        check_sps_vector(st)
+
+
+def test_sps_vector_support_without_zero():
+    # -Z at q = 2 stabilizes |1>, whose support excludes the seed |0>
+    S = stabilizer.validate([lbl(2, 1, [1], [0], 2)])
+    v = check_sps_vector(stabilizer.StabilizerProjectionState(S))
+    assert np.allclose(v, [0, 1])
+    # at q = 3, omega^2 Z on site 0 fixes only j_0 = 1, and X on site 1
+    # spreads the state over j_1
+    S = stabilizer.validate([lbl(3, 2, [1, 0], [0, 0], 4), lbl(3, 2, [0, 0], [0, 1])])
+    v = check_sps_vector(stabilizer.StabilizerProjectionState(S))
+    assert abs(v[0]) < 1e-12 and abs(v[1]) > 0.5
+
+
+def test_conjugated_group_matches_dense():
+    S = stabilizer.validate([lbl(3, 2, [1, 2], [0, 0]), lbl(3, 2, [0, 0], [1, 1])])
+    U = lbl(3, 2, [1, 0], [2, 1], 1)
+    T = stabilizer.conjugated(S, U)
+    assert T.key == S.key and T.order == S.order
+    Ud = pauli.to_dense(U)
+    for g, h in zip(S.gens, T.gens):
+        assert np.allclose(Ud @ pauli.to_dense(g) @ Ud.conj().T, pauli.to_dense(h))
+    rho = stabilizer.sps_dense(stabilizer.StabilizerProjectionState(S))
+    sigma = stabilizer.sps_dense(stabilizer.StabilizerProjectionState(T))
+    assert np.allclose(Ud @ rho @ Ud.conj().T, sigma)
+
+
 def test_supported_subgroup():
     # Bell pair group: only identity is supported on a single site
     S = stabilizer.validate([lbl(2, 2, [0, 0], [1, 1]), lbl(2, 2, [1, 1], [0, 0])])

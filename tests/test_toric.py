@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from quditmagic import dense, pauli, stabilizer, toric
-from quditmagic.config import RunConfig
+from quditmagic.config import BudgetExceeded, RunConfig
 
 
 def test_build_rejects_small():
@@ -83,6 +83,17 @@ def test_ground_state_matches_projector_oracle():
     v /= np.linalg.norm(v)
     w = toric.ground_state(code, (0, 0))
     assert abs(abs(np.vdot(v, w)) - 1) < 1e-9
+
+
+def test_ground_state_dense_budget_is_the_callers():
+    # 2^18 amplitudes: above the default budget, inside a raised one, and the
+    # cached vector does not re-apply the default
+    code = toric.build_toric(2, 3, 3)
+    with pytest.raises(BudgetExceeded):
+        toric.ground_state(code, (1, 0))
+    v = toric.ground_state(code, (1, 0), RunConfig(dense_limit=2 ** 18))
+    z1, _ = toric.logical_z_pair(code.lattice)
+    assert abs(np.vdot(v, pauli.apply_to_state(z1, v)) + 1) < 1e-9
 
 
 def test_anyon_string_trivial_type_identity():

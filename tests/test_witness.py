@@ -59,6 +59,43 @@ def test_window_boundaries():
     assert verdict2.verdict == witness.VERDICT_SILENT
 
 
+def zero_state(n):
+    v = np.zeros(2 ** n, dtype=complex)
+    v[0] = 1.0
+    return v
+
+
+def test_window_never_fires_on_the_window_edge():
+    # |000> is a stabilizer state with MI = 0: at tol = 0 the value sits on
+    # the window edge, which is outside the strict window
+    rho = dense.density_of(zero_state(3))
+    verdict = witness.mi_forbidden_window(rho, 2, 3, [0], [2], tol=0.0)
+    assert verdict.mi == 0.0
+    assert verdict.verdict == witness.VERDICT_SILENT
+    assert verdict.margin <= 0
+
+
+@pytest.mark.parametrize("kwargs", [
+    dict(A=[0], B=[2], tol=-0.5),
+    dict(A=[0], B=[2], tol=float("nan")),
+    dict(A=[0], B=[7]),
+    dict(A=[0], B=[-1]),
+    dict(A=[0, 0], B=[2]),
+])
+def test_window_rejects_bad_input(kwargs):
+    rho = dense.density_of(zero_state(3))
+    with pytest.raises(ValueError):
+        witness.mi_forbidden_window(rho, 2, 3, **kwargs)
+
+
+@pytest.mark.parametrize("depth,A,B", [
+    (-1, [0], [2]), (0, [0], [7]), (0, [-1], [2]), (0, [0, 0], [2]),
+])
+def test_sandwich_rejects_bad_input(depth, A, B):
+    with pytest.raises(ValueError):
+        witness.mi_stability_check(zero_state(3), 2, 3, depth, A, B)
+
+
 def test_window_prime_from_composite_q():
     rho = np.eye(36) / 36
     verdict = witness.mi_forbidden_window(rho, 6, 2, [0], [1])
