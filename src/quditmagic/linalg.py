@@ -123,7 +123,7 @@ def snf_diagonal(S: Matrix) -> List[int]:
     return [S[i][i] for i in range(min(len(S), len(S[0]) if S else 0))]
 
 
-def _order(form: Matrix, q: int) -> int:
+def form_order(form: Matrix, q: int) -> int:
     """Order of the subgroup whose Howell form is given: prod q/pivot."""
     order = 1
     for row in form:
@@ -200,7 +200,7 @@ def lattice_data(A: Matrix, q: int, n: int) -> Tuple[Tuple[Tuple[int, ...], ...]
     key = tuple(tuple(row[:n]) for row in H if any(row[:n]))
     relations = [row[n:] for row in H if not any(row[:n])]
     relations += [[q if i == j else 0 for j in range(k)] for i in range(k)]
-    return key, _order(key, q), relations
+    return key, form_order(key, q), relations
 
 
 def solve_form(H: Matrix, v: Sequence[int], q: int) -> Optional[List[int]]:
@@ -230,7 +230,7 @@ def lattice_key(rows: Sequence[Sequence[int]], q: int, n: int) -> Tuple[Tuple[in
 
 def subgroup_order(rows: Sequence[Sequence[int]], q: int, n: int) -> int:
     """Order of the subgroup of Z_q^n generated by the rows."""
-    return _order(howell_form(rows, q, n), q)
+    return form_order(howell_form(rows, q, n), q)
 
 
 def solve_left_mod(A: Matrix, v: Sequence[int], q: int) -> Optional[List[int]]:

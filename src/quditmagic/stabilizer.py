@@ -9,7 +9,9 @@ support and forms no q^n x q^n matrix.
 
 All group-theoretic questions are questions about the subgroup of
 Z_q^{2n} spanned by the exponent rows; linalg reads them off one Howell form,
-which handles composite q uniformly.
+which handles composite q uniformly.  The enumeration generates those Howell
+forms directly, for every q, so each isotropic subgroup comes out once and
+already canonical.
 
 Those lattice problems see only the exponent rows (a|b) of the generators,
 never their phase exponents c, and the phase of a product is affine in the
@@ -26,21 +28,20 @@ the phase-free part in small fixed-size LRU memos keyed on (q, exponent
 rows[, region]) with tuple values, so the many groups that share a lattice
 and differ only in phases (all phase assignments of one lattice, the
 repeated braiding queries on one toric ground group) factorize it once; the
-phase checks still run on every call.
+phase checks still run on every call.  independent_generators memos its
+decomposition the same way.
 """
 
 import functools
 import itertools
-import math
 from dataclasses import dataclass, replace
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import linalg, pauli
 from .config import DEFAULT_CONFIG, BudgetExceeded, RunConfig, check_dense
 from .pauli import PauliLabel
-from .ring import factorize
 
 
 class NonCommutingPair(ValueError):
@@ -69,9 +70,6 @@ class StabilizerGroup:
     gens: Tuple[PauliLabel, ...]
     order: int
     key: Tuple[Tuple[int, ...], ...]
-
-    def exponent_rows(self) -> List[List[int]]:
-        return [pauli.symplectic_vector(g) for g in self.gens]
 
 
 def product_label(gens: Sequence[PauliLabel], coeffs: Sequence[int]) -> PauliLabel:
@@ -136,14 +134,21 @@ def trivial_group(q: int, n: int) -> StabilizerGroup:
     return StabilizerGroup(q=q, n=n, gens=(), order=1, key=())
 
 
+@functools.lru_cache(maxsize=16)
+def _decomposition(q: int, rows: Tuple[Tuple[int, ...], ...]) -> Tuple:
+    """linalg.independent_decomposition (C, orders) of generators with these
+    exponent rows; all phase assignments of one lattice and all conjugates of
+    one group share it."""
+    if not rows:
+        return (), ()
+    C, orders = linalg.independent_decomposition(linalg.left_kernel_mod(rows, q), len(rows))
+    return tuple(map(tuple, C)), tuple(orders)
+
+
 def independent_generators(S: StabilizerGroup) -> List[Tuple[PauliLabel, int]]:
     """Independent generators with their orders (divisor chain, trivial ones
     dropped); product of the orders equals |S|."""
-    if not S.gens:
-        return []
-    rows = S.exponent_rows()
-    rels = linalg.left_kernel_mod(rows, S.q)
-    C, orders = linalg.independent_decomposition(rels, len(S.gens))
+    C, orders = _decomposition(S.q, _rows_key(S.gens))
     out = []
     for row, d in zip(C, orders):
         if d == 1:
@@ -358,93 +363,79 @@ def conjugated(S: StabilizerGroup, U: PauliLabel) -> StabilizerGroup:
 # Exhaustive enumeration
 # ---------------------------------------------------------------------------
 
-def _divisors(q: int) -> List[int]:
-    return [d for d in range(1, q + 1) if q % d == 0]
-
-
-def _hnf_candidates(q: int, m: int) -> Iterator[List[List[int]]]:
-    """All canonical upper-triangular bases of lattices between q*Z^m and Z^m."""
-    divs = _divisors(q)
-    for diag in itertools.product(divs, repeat=m):
-        # entries above the pivot in column j range over [0, d_j)
-        slots = [(i, j) for j in range(m) for i in range(j)]
-        ranges = [range(diag[j]) for (_, j) in slots]
-        for fill in itertools.product(*ranges):
-            H = [[0] * m for _ in range(m)]
-            for i in range(m):
-                H[i][i] = diag[i]
-            for (slot, val) in zip(slots, fill):
-                H[slot[0]][slot[1]] = val
-            if _contains_q_lattice(H, q):
-                yield H
-
-
-def _contains_q_lattice(H: List[List[int]], q: int) -> bool:
-    """Does the row lattice of upper-triangular H contain q*Z^m?"""
-    m = len(H)
-    for j in range(m):
-        target = [q if t == j else 0 for t in range(m)]
-        x = [0] * m
-        ok = True
-        for i in range(m):
-            s = target[i] - sum(x[k] * H[k][i] for k in range(i))
-            if s % H[i][i] != 0:
-                ok = False
-                break
-            x[i] = s // H[i][i]
-        if not ok:
-            return False
-    return True
-
-
 def _symplectic_product(u: Sequence[int], v: Sequence[int], n: int, q: int) -> int:
     return (
         sum(u[i] * v[n + i] - u[n + i] * v[i] for i in range(n)) % q
     )
 
 
-def _isotropic_lattices_prime_power(q: int, n: int) -> List[List[List[int]]]:
-    """Generator matrices of all isotropic subgroups of Z_q^{2n}, q = p^r."""
-    out = []
-    m = 2 * n
-    for H in _hnf_candidates(q, m):
-        rows = [[x % q for x in row] for row in H]
-        rows = [r for r in rows if any(r)]
-        ok = True
-        for i in range(len(rows)):
-            for j in range(i, len(rows)):
-                if _symplectic_product(rows[i], rows[j], n, q) != 0:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            out.append(rows)
-    return out
+def _pivot(row: Sequence[int]) -> int:
+    return next(i for i, x in enumerate(row) if x)
 
 
-def isotropic_lattices(q: int, n: int) -> List[List[List[int]]]:
-    """Generator matrices of all isotropic subgroups of Z_q^{2n}.
+def _reduce(v: List[int], K: Sequence[Tuple[int, Sequence[int]]], q: int) -> List[int]:
+    """The representative of v + span(K) reduced below the pivots of the
+    Howell form K, given as (pivot column, row) pairs; it is unique."""
+    for c, k in K:
+        f = v[c] // k[c]
+        if f:
+            v = [(x - f * y) % q for x, y in zip(v, k)]
+    return v
 
-    Composite q is handled by combining per-prime-power enumerations through
-    the CRT; the subgroup lattice of Z_q^{2n} is the product of its p-parts.
+
+def _perp_form(q: int, n: int, K: Sequence[Sequence[int]]) -> List[List[int]]:
+    """Howell form of the symplectic complement of span(K) in Z_q^{2n}, K nonempty."""
+    dual = [list(k[n:]) + [-x for x in k[:n]] for k in K]
+    return linalg.howell_form(linalg.right_kernel_mod(dual, q), q, 2 * n)
+
+
+def _pivot_rows(q: int, j: int, K: Tuple, perp: List[List[int]]) -> Iterator[Tuple[int, ...]]:
+    """The rows r = (0..0, d, t) with pivot d at column j that put an
+    isotropic Howell form (r,) + K on top of K, which is supported on the
+    columns after j: r is in perp, the complement of K, t is reduced below
+    K's pivots, and (q/d) r lies in span(K), the Howell property.
+
+    perp's rows with pivot c > j, taken x_c times for 0 <= x_c < (K's pivot
+    at c, else q) / (their pivot), meet every coset of span(K) in perp there
+    exactly once, so only the Howell property is left to filter."""
+    pivots = [_pivot(h) for h in perp]
+    if j not in pivots:
+        return
+    head = perp[pivots.index(j)]
+    kp = [(_pivot(k), k) for k in K]
+    kpiv = {c: k[c] for c, k in kp}
+    tail = [(h, kpiv.get(c, q) // h[c]) for c, h in zip(pivots, perp) if c > j]
+    for d in range(head[j], q, head[j]):
+        if q % d:
+            continue
+        rows = [[d // head[j] * y for y in head]]
+        for h, reps in tail:
+            rows = [[a + x * b for a, b in zip(r, h)] for r in rows for x in range(reps)]
+        for r in rows:
+            if d == 1 or not any(_reduce([q // d * x % q for x in r], kp, q)):
+                yield tuple(_reduce([x % q for x in r], kp, q))
+
+
+def isotropic_lattices(q: int, n: int) -> Iterator[Tuple[Tuple[int, ...], ...]]:
+    """The Howell forms of all isotropic subgroups of Z_q^{2n}, for any q.
+
+    A Howell form's rows with pivots after column j are the Howell form of
+    the subgroup's part supported there, so the forms grow one column at a
+    time from the right: each form K either has no row pivoted at column j
+    or gains one from _pivot_rows.  Every form is generated once and is its
+    own lattice_key; depth-first order yields the first ones at once.
     """
-    factors = factorize(q).factors
-    if len(factors) == 1:
-        return _isotropic_lattices_prime_power(q, n)
-    per_factor = []
-    for p, r in factors:
-        per_factor.append((p ** r, _isotropic_lattices_prime_power(p ** r, n)))
-    combined = []
-    for choice in itertools.product(*(lats for _, lats in per_factor)):
-        gens: List[List[int]] = []
-        for (qj, _), rows in zip(per_factor, choice):
-            other = q // qj
-            lift = (other * pow(other, -1, qj)) % q
-            for row in rows:
-                gens.append([(x * lift) % q for x in row])
-        combined.append(gens)
-    return combined
+
+    def grow(j: int, K: Tuple, perp: Optional[List[List[int]]]) -> Iterator[Tuple]:
+        if j < 0:
+            yield K
+            return
+        yield from grow(j - 1, K, perp)
+        for r in _pivot_rows(q, j, K, perp):
+            grown = (r,) + K
+            yield from grow(j - 1, grown, _perp_form(q, n, grown) if j else None)
+
+    return grow(2 * n - 1, (), linalg.identity_matrix(2 * n))
 
 
 def _consistent_base_phase(g: PauliLabel, delta: int) -> PauliLabel:
@@ -464,18 +455,12 @@ def enumerate_stabilizer_groups(
     with every consistent phase assignment, each exactly once."""
     target = q ** n if pure_only else None
     count = 0
-    for rows in isotropic_lattices(q, n):
-        key, order, rels = linalg.lattice_data(rows, q, 2 * n)
+    for form in isotropic_lattices(q, n):
+        order = linalg.form_order(form, q)
         if target is not None and order != target:
             continue
-        if not rows:
-            count += 1
-            if count > config.enum_limit:
-                raise BudgetExceeded("enumeration budget exceeded")
-            yield trivial_group(q, n)
-            continue
-        base = [pauli.label(q, n, r[:n], r[n:], 0) for r in rows]
-        C, orders = linalg.independent_decomposition(rels, len(rows))
+        base = [pauli.label(q, n, r[:n], r[n:], 0) for r in form]
+        C, orders = _decomposition(q, form)
         ind = []
         for crow, d in zip(C, orders):
             if d == 1:
@@ -496,7 +481,7 @@ def enumerate_stabilizer_groups(
                 n=n,
                 gens=tuple(gens),
                 order=order,
-                key=key,
+                key=form,
             )
 
 

@@ -151,6 +151,20 @@ def test_budget_exit_code(capsys, tmp_path):
     assert code == cli.EXIT_BUDGET
 
 
+def test_enum_budget_exits_promptly(tmp_path):
+    # a 4-qubit dictionary has 36,720 states; the enumeration budget must
+    # stop it as the groups arrive, well before the lattices run out
+    rng = np.random.default_rng(4)
+    state = write_state(tmp_path, 2, 4, rng.normal(size=16) + 1j * rng.normal(size=16))
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(quditmagic.__file__)))
+    out = subprocess.run(
+        [sys.executable, "-m", "quditmagic.cli", "--enum-limit", "1000", "magic", "--state", state],
+        env=env, capture_output=True, text=True, timeout=30,
+    )
+    assert out.returncode == cli.EXIT_BUDGET, out.stderr
+    assert "enumeration budget exceeded" in out.stderr
+
+
 def test_rephase(capsys, tmp_path):
     tab = tmp_path / "tab.txt"
     tab.write_text(stabilizer.tableau_to_text([pauli.label(2, 1, [1], [0], 0)]))

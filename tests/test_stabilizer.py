@@ -295,7 +295,8 @@ def test_restrict_relabels():
 
 @pytest.mark.parametrize(
     "n,q,expected",
-    [(1, 2, 6), (1, 3, 12), (2, 2, 60)],
+    [(1, 2, 6), (1, 3, 12), (2, 2, 60), (1, 5, 30), (1, 6, 72), (2, 3, 360),
+     (2, 4, 2416), (2, 5, 3900), (3, 2, 1080)],
 )
 def test_pure_state_counts(n, q, expected):
     count = sum(1 for _ in stabilizer.enumerate_pure_stabilizer_states(n, q))
@@ -304,11 +305,31 @@ def test_pure_state_counts(n, q, expected):
 
 @pytest.mark.parametrize(
     "n,q,expected",
-    [(1, 4, 35), (2, 2, 91)],
+    [(1, 4, 35), (2, 2, 91), (1, 5, 31), (1, 6, 91), (2, 3, 481), (2, 4, 4627),
+     (2, 5, 4681), (3, 2, 2467)],
 )
 def test_all_sps_counts(n, q, expected):
     count = sum(1 for _ in stabilizer.enumerate_sps(n, q))
     assert count == expected
+
+
+@pytest.mark.parametrize(
+    "n,q,expected",
+    [(1, 2, 4), (1, 3, 5), (1, 4, 11), (1, 5, 7), (1, 6, 20), (2, 2, 31),
+     (2, 3, 81), (2, 4, 517), (2, 5, 313), (2, 6, 2511), (3, 2, 514)],
+)
+def test_isotropic_lattices_are_howell_forms(n, q, expected):
+    # every isotropic subgroup once, as its own Howell form
+    forms = list(stabilizer.isotropic_lattices(q, n))
+    assert len(forms) == len(set(forms)) == expected
+    for form in forms:
+        assert form == linalg.lattice_key(form, q, 2 * n)
+        for u, v in itertools.combinations(form, 2):
+            assert sum(u[i] * v[n + i] - u[n + i] * v[i] for i in range(n)) % q == 0
+    if q in (2, 3, 5):
+        # Lagrangian subgroups of Z_p^{2n}: prod_{i=1..n} (p^i + 1)
+        maximal = sum(1 for form in forms if linalg.subgroup_order(form, q, 2 * n) == q ** n)
+        assert maximal == math.prod(q ** i + 1 for i in range(1, n + 1))
 
 
 def test_enumeration_distinct_states():
@@ -323,6 +344,9 @@ def test_enumeration_budget():
     cfg = RunConfig(enum_limit=5)
     with pytest.raises(BudgetExceeded):
         list(stabilizer.enumerate_pure_stabilizer_states(2, 2, cfg))
+    # the budget is checked as groups arrive, not after all lattices are built
+    with pytest.raises(BudgetExceeded):
+        list(stabilizer.enumerate_stabilizer_groups(4, 2, config=cfg))
 
 
 def test_find_rephasing_pauli_exhaustive_small():
