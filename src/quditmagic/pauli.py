@@ -60,30 +60,29 @@ def compose(P: PauliLabel, Q: PauliLabel) -> PauliLabel:
     _check_shapes(P, Q)
     q = P.q
     cross = sum(aq * bp for aq, bp in zip(Q.a, P.b))
-    return label(
+    return PauliLabel(
         q,
         P.n,
-        [x + y for x, y in zip(P.a, Q.a)],
-        [x + y for x, y in zip(P.b, Q.b)],
-        P.c + Q.c - 2 * cross,
+        tuple([(x + y) % q for x, y in zip(P.a, Q.a)]),
+        tuple([(x + y) % q for x, y in zip(P.b, Q.b)]),
+        (P.c + Q.c - 2 * cross) % (2 * q),
     )
 
 
 def inverse(P: PauliLabel) -> PauliLabel:
-    ab = sum(x * y for x, y in zip(P.a, P.b))
-    return label(P.q, P.n, [-x for x in P.a], [-x for x in P.b], -P.c - 2 * ab)
+    return power(P, -1)
 
 
 def power(P: PauliLabel, m: int) -> PauliLabel:
-    if m < 0:
-        return power(inverse(P), -m)
+    """P^m for any integer m; the phase rule holds for negative m too."""
+    q = P.q
     ab = sum(x * y for x, y in zip(P.a, P.b))
-    return label(
-        P.q,
+    return PauliLabel(
+        q,
         P.n,
-        [m * x for x in P.a],
-        [m * x for x in P.b],
-        m * P.c - ab * m * (m - 1),
+        tuple([m * x % q for x in P.a]),
+        tuple([m * x % q for x in P.b]),
+        (m * P.c - ab * m * (m - 1)) % (2 * q),
     )
 
 

@@ -29,12 +29,18 @@ rows[, region]) with tuple values, so the many groups that share a lattice
 and differ only in phases (all phase assignments of one lattice, the
 repeated braiding queries on one toric ground group) factorize it once; the
 phase checks still run on every call.  independent_generators memos its
-decomposition the same way.
+decomposition, and sps_vector the combinations whose products are
+diagonal, the same way.
+
+Every product of generators goes through product_label, which evaluates
+prod_j g_j^{x_j} in closed form on plain integer lists (see its docstring)
+and builds a single PauliLabel for the result instead of one per factor.
 """
 
 import functools
 import itertools
 from dataclasses import dataclass, replace
+from operator import mul
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -73,14 +79,31 @@ class StabilizerGroup:
 
 
 def product_label(gens: Sequence[PauliLabel], coeffs: Sequence[int]) -> PauliLabel:
-    """The element  prod_i g_i^{x_i}  as an exact label."""
-    q = gens[0].q
-    n = gens[0].n
-    out = pauli.identity_label(q, n)
+    """The element  prod_j g_j^{x_j}  as an exact label, in closed form.
+
+    With g_j = omega_{2q}^{c_j} Z^{a_j} X^{b_j} and each x_j reduced mod 2q
+    (g^x is 2q-periodic in x), the product has exponents A = sum_j x_j a_j,
+    B = sum_j x_j b_j (mod q) and phase
+
+        c = sum_j [x_j c_j - (a_j.b_j) x_j (x_j - 1) - 2 x_j (a_j . B_{<j})]
+
+    mod 2q, where B_{<j} = sum_{i<j} x_i b_i: the first two terms are
+    power(g_j, x_j), the last is the X^{B_{<j}} Z^{x_j a_j} swap of
+    compose.  Only the result becomes a PauliLabel."""
+    q, n = gens[0].q, gens[0].n
+    q2 = 2 * q
+    A = [0] * n
+    B = [0] * n
+    c = 0
     for g, x in zip(gens, coeffs):
-        if x % (2 * q):
-            out = pauli.compose(out, pauli.power(g, x))
-    return out
+        x %= q2
+        if not x:
+            continue
+        a, b = g.a, g.b
+        c += x * (g.c - sum(map(mul, a, b)) * (x - 1) - 2 * sum(map(mul, a, B)))
+        A = [u + x * v for u, v in zip(A, a)]
+        B = [u + x * v for u, v in zip(B, b)]
+    return PauliLabel(q, n, tuple([u % q for u in A]), tuple([u % q for u in B]), c % q2)
 
 
 def _rows_key(gens: Sequence[PauliLabel]) -> Tuple[Tuple[int, ...], ...]:
@@ -328,6 +351,15 @@ def sps_dense(state: StabilizerProjectionState, config: RunConfig = DEFAULT_CONF
     return acc / dim
 
 
+@functools.lru_cache(maxsize=16)
+def _diagonal_combinations(q: int, rows: Tuple[Tuple[int, ...], ...]) -> Tuple:
+    """The left kernel of the X-parts of generators with these exponent rows:
+    the combinations whose products are diagonal.  All phase assignments of
+    one lattice share it."""
+    n = len(rows[0]) // 2
+    return tuple(map(tuple, linalg.left_kernel_mod([r[n:] for r in rows], q)))
+
+
 def sps_vector(state: StabilizerProjectionState, config: RunConfig = DEFAULT_CONFIG) -> np.ndarray:
     """State vector of a pure stabilizer projection state (|S| = q^n), formed
     without q^n x q^n matrices: the state is proportional to sum_{s in S} s|j>
@@ -339,8 +371,7 @@ def sps_vector(state: StabilizerProjectionState, config: RunConfig = DEFAULT_CON
         raise ValueError("projection state is not pure")
     q, n = S.q, S.n
     check_dense(q ** n, config)
-    # the diagonal elements: products over the left kernel of the X-parts
-    diag = [product_label(S.gens, x) for x in linalg.left_kernel_mod([g.b for g in S.gens], q)]
+    diag = [product_label(S.gens, x) for x in _diagonal_combinations(q, _rows_key(S.gens))]
     j = linalg.solve_right_mod([d.a for d in diag], [-d.c // 2 for d in diag], q)
     v = np.zeros(q ** n, dtype=complex)
     v[sum(x * q ** i for i, x in enumerate(j))] = 1.0
@@ -620,7 +651,9 @@ def find_rephasing_pauli(
     lemma; failure on validated independent input is an internal error.
     """
     if not gens:
-        return pauli.identity_label(2, 1)
+        raise ValueError("no generators to re-phase")
+    if len(targets) != len(gens):
+        raise ValueError("%d targets for %d generators" % (len(targets), len(gens)))
     q = gens[0].q
     n = gens[0].n
     rows = [pauli.symplectic_vector(g) for g in gens]

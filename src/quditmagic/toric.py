@@ -534,6 +534,9 @@ def ring_annulus(lat: ToricLattice) -> RingAnnulus:
 # Operators on the annulus are handled as sparse Pauli-coefficient maps
 # {(a, b): coefficient}; products, traces and norms then cost O(terms^2)
 # instead of O(q^{2m}), which keeps the q = 3 ring exact and cheap.
+# _poly_mul works on the exponent arrays of all term pairs at once, with
+# Z^a1 X^b1 Z^a2 X^b2 = omega^{-a2.b1} Z^{a1+a2} X^{b1+b2} and a table of the
+# q phases omega^{-k}; it builds no PauliLabel.
 
 _Poly = Dict[Tuple[Tuple[int, ...], Tuple[int, ...]], complex]
 
@@ -548,14 +551,37 @@ def _poly_of_group(S: StabilizerGroup) -> _Poly:
 
 
 def _poly_mul(P: _Poly, Q: _Poly, q: int, m: int) -> _Poly:
-    out: _Poly = {}
-    for (a1, b1), v1 in P.items():
-        for (a2, b2), v2 in Q.items():
-            lab = pauli.compose(pauli.label(q, m, a1, b1, 0),
-                                pauli.label(q, m, a2, b2, 0))
-            key = (lab.a, lab.b)
-            out[key] = out.get(key, 0.0) + v1 * v2 * cmath.exp(1j * math.pi * lab.c / q)
-    return out
+    """The product P*Q, equal bit for bit to the term-by-term fold
+    out[key] = out.get(key, 0.0) + x * y * phase over P-outer, Q-inner pairs:
+    each key's terms are summed in that order from 0 (bincount), x * y * phase
+    is formed with the real/imaginary formulas of Python's complex product
+    (numpy's complex multiply can round differently), and keys come out in
+    first-occurrence order."""
+    if not P or not Q:
+        return {}
+    k1 = np.array(list(P), dtype=np.int64).reshape(len(P), 2 * m)
+    k2 = np.array(list(Q), dtype=np.int64).reshape(len(Q), 2 * m)
+    keys = ((k1[:, None, :] + k2[None, :, :]) % q).reshape(-1, 2 * m)
+    # number the distinct product keys by first occurrence, on their row bytes
+    raw = keys.tobytes()
+    step = len(raw) // len(keys)
+    slots: Dict[bytes, int] = {}
+    slot = [slots.setdefault(raw[i:i + step], len(slots)) for i in range(0, len(raw), step)]
+
+    # the phase omega^{-a2.b1} of each pair, as the fold's exp(i pi c / q)
+    phases = np.array([cmath.exp(1j * math.pi * (-2 * k % (2 * q)) / q) for k in range(q)])
+    w = phases[(k1[:, m:] @ k2[:, :m].T % q).reshape(-1)]
+    x = np.array(list(P.values()), dtype=complex)[:, None]
+    y = np.array(list(Q.values()), dtype=complex)
+    zr = (x.real * y.real - x.imag * y.imag).reshape(-1)
+    zi = (x.real * y.imag + x.imag * y.real).reshape(-1)
+    re = np.bincount(slot, weights=zr * w.real - zi * w.imag)
+    im = np.bincount(slot, weights=zr * w.imag + zi * w.real)
+    rows = np.frombuffer(b"".join(slots), dtype=keys.dtype).reshape(-1, 2 * m)
+    return {
+        (tuple(row[:m]), tuple(row[m:])): complex(u, v)
+        for row, u, v in zip(rows.tolist(), re.tolist(), im.tolist())
+    }
 
 
 def _poly_trace(P: _Poly, q: int, m: int) -> complex:

@@ -246,6 +246,9 @@ def test_toric_bad_geometry_or_pairs_is_usage_error(capsys, argv):
      "2351b214e14a9fe63609906070c13e90d53f4fd2c3f76ab629a624a59c142f41"),
     (["toric", "annulus", "--q", "2", "--lx", "4", "--ly", "4"],
      "cee2ad4c557340a8b5567de83f716efad5062717399ca57c4f64e22bb94f92db"),
+    # even q: products pick up half-integer omega powers (omega_{2q} phases)
+    (["toric", "annulus", "--q", "4", "--lx", "3", "--ly", "4"],
+     "8627f59978e6f096c73d8b1763fc34de132b3cc11c6e645e57600e307e82f182"),
 ])
 def test_toric_stdout_pinned(capsys, argv, digest):
     assert cli.main(argv) == 0

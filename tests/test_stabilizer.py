@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from quditmagic import linalg, pauli, stabilizer
 from quditmagic.config import RunConfig, BudgetExceeded
@@ -58,6 +59,80 @@ def test_product_label_matches_dense():
     P = stabilizer.product_label(gens, [2, 1])
     dense = np.linalg.matrix_power(pauli.to_dense(gens[0]), 2) @ pauli.to_dense(gens[1])
     assert np.allclose(pauli.to_dense(P), dense, atol=1e-10)
+
+
+def _fold_compose(P, Q):
+    # the label-based composition product_label's closed form replaced
+    cross = sum(aq * bp for aq, bp in zip(Q.a, P.b))
+    return pauli.label(
+        P.q, P.n,
+        [x + y for x, y in zip(P.a, Q.a)],
+        [x + y for x, y in zip(P.b, Q.b)],
+        P.c + Q.c - 2 * cross,
+    )
+
+
+def _fold_power(P, m):
+    ab = sum(x * y for x, y in zip(P.a, P.b))
+    if m < 0:
+        inv = pauli.label(P.q, P.n, [-x for x in P.a], [-x for x in P.b], -P.c - 2 * ab)
+        return _fold_power(inv, -m)
+    return pauli.label(P.q, P.n, [m * x for x in P.a], [m * x for x in P.b],
+                       m * P.c - ab * m * (m - 1))
+
+
+def _fold_product(gens, coeffs):
+    out = pauli.identity_label(gens[0].q, gens[0].n)
+    for g, x in zip(gens, coeffs):
+        if x % (2 * g.q):
+            out = _fold_compose(out, _fold_power(g, x))
+    return out
+
+
+@st.composite
+def _product_inputs(draw):
+    """1-5 labels on (q, n), q in 2..12 and n in 1..4, that need not commute,
+    with coefficients in [-3q, 3q] that often are multiples of 2q."""
+    q = draw(st.integers(2, 12))
+    n = draw(st.integers(1, 4))
+    k = draw(st.integers(1, 5))
+    gens = [
+        pauli.label(
+            q, n,
+            draw(st.lists(st.integers(0, q - 1), min_size=n, max_size=n)),
+            draw(st.lists(st.integers(0, q - 1), min_size=n, max_size=n)),
+            draw(st.integers(0, 2 * q - 1)),
+        )
+        for _ in range(k)
+    ]
+    coeff = st.one_of(st.integers(-3 * q, 3 * q), st.sampled_from([-2 * q, 0, 2 * q]))
+    return gens, draw(st.lists(coeff, min_size=k, max_size=k))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_product_inputs())
+def test_product_label_matches_label_fold(inputs):
+    gens, coeffs = inputs
+    P = stabilizer.product_label(gens, coeffs)
+    assert P == _fold_product(gens, coeffs)
+    # the same fold through pauli.compose and pauli.power
+    out = pauli.identity_label(gens[0].q, gens[0].n)
+    for g, x in zip(gens, coeffs):
+        out = pauli.compose(out, pauli.power(g, x))
+    assert out == P
+    if P.q ** P.n <= 64:
+        dense = np.eye(P.q ** P.n, dtype=complex)
+        for g, x in zip(gens, coeffs):
+            M = pauli.to_dense(g)
+            dense = dense @ np.linalg.matrix_power(M if x >= 0 else M.conj().T, abs(x))
+        assert np.allclose(pauli.to_dense(P), dense, atol=1e-8)
+
+
+def test_product_label_is_2q_periodic():
+    gens = [lbl(4, 2, [1, 3], [2, 1], 5), lbl(4, 2, [3, 0], [1, 1], 1)]
+    for x in itertools.product(range(-8, 9), repeat=2):
+        shifted = [x[0] + 8 * 3, x[1] - 8 * 5]
+        assert stabilizer.product_label(gens, shifted) == stabilizer.product_label(gens, x)
 
 
 def test_elements_exactly_once():
@@ -365,6 +440,18 @@ def test_find_rephasing_rejects_dependent():
     gens = [lbl(2, 1, [1], [0]), lbl(2, 1, [1], [0], 2)]
     with pytest.raises(stabilizer.NotIndependent):
         stabilizer.find_rephasing_pauli(gens, [0, 0])
+
+
+def test_find_rephasing_rejects_empty_tableau():
+    with pytest.raises(ValueError):
+        stabilizer.find_rephasing_pauli([], [])
+
+
+@pytest.mark.parametrize("targets", [[1], [1, 1, 2]])
+def test_find_rephasing_rejects_target_count_mismatch(targets):
+    gens = [lbl(3, 2, [1, 0], [0, 0]), lbl(3, 2, [0, 0], [0, 1])]
+    with pytest.raises(ValueError, match="targets"):
+        stabilizer.find_rephasing_pauli(gens, targets)
 
 
 def test_extreme_points_trivial_region():
