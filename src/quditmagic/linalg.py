@@ -1,11 +1,13 @@
-"""Integer matrix normal forms and modular linear algebra.
+"""Modular linear algebra over Z_q.
 
 Every question about a subgroup of Z_q^n (canonical key, order, kernel,
 linear congruence) is read off its Howell form, an echelon form kept mod q
 that stays canonical when q is composite, where field-style Gaussian
-elimination fails.  The Smith normal form over Z serves only the
-independent-generator decomposition of a relation lattice.  All arithmetic
-is exact, on plain Python integers.
+elimination fails.  Independent generators of a subgroup come from a Smith
+form of its generator rows, also kept mod q.  Both forms use the same two
+steps, Euclid row steps and a unit scaling a pivot to a divisor of q, so
+every entry stays in [0, q) (Storjohann, Algorithms for Matrix Canonical
+Forms, ETH 2000).  All arithmetic is exact, on plain Python integers.
 """
 
 import math
@@ -18,109 +20,24 @@ def identity_matrix(n: int) -> Matrix:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def mat_mul(A: Matrix, B: Matrix) -> Matrix:
-    if not A or not B:
-        return []
-    n = len(B[0])
-    out = []
-    for row in A:
-        acc = [0] * n
-        for a, brow in zip(row, B):
-            if a:
-                for j in range(n):
-                    acc[j] += a * brow[j]
-        out.append(acc)
-    return out
+def _euclid(piv: List[int], row: List[int], j: int, q: int) -> Tuple[List[int], List[int]]:
+    """Euclid row steps mod q that leave gcd(piv[j], row[j]) in piv[j] and 0
+    in row[j]; the pair spans what it spanned before."""
+    while row[j]:
+        c = piv[j] // row[j]
+        piv, row = row, [(x - c * y) % q for x, y in zip(piv, row)]
+    return piv, row
 
 
-def mat_inverse_unimodular(V: Matrix) -> Matrix:
-    """Exact inverse of a unimodular integer matrix.
-
-    Its Smith normal form U V W is the identity, so V^-1 = W U.
-    """
-    U, _, W = smith_normal_form(V)
-    return mat_mul(W, U)
-
-
-def smith_normal_form(A: Matrix) -> Tuple[Matrix, Matrix, Matrix]:
-    """Return (U, S, V) with S = U*A*V diagonal, d_i | d_{i+1}, d_i >= 0."""
-    m = len(A)
-    n = len(A[0]) if m else 0
-    S = [[int(x) for x in row] for row in A]
-    U = identity_matrix(m)
-    V = identity_matrix(n)
-
-    def add_row(i, j, c):
-        S[i] = [a + c * b for a, b in zip(S[i], S[j])]
-        U[i] = [a + c * b for a, b in zip(U[i], U[j])]
-
-    def add_col(i, j, c):
-        for row in S:
-            row[i] += c * row[j]
-        for row in V:
-            row[i] += c * row[j]
-
-    def swap_rows(i, j):
-        S[i], S[j] = S[j], S[i]
-        U[i], U[j] = U[j], U[i]
-
-    def swap_cols(i, j):
-        for row in S:
-            row[i], row[j] = row[j], row[i]
-        for row in V:
-            row[i], row[j] = row[j], row[i]
-
-    t = 0
-    while t < min(m, n):
-        # Locate the minimal-magnitude nonzero entry of the trailing block.
-        piv = None
-        for i in range(t, m):
-            for j in range(t, n):
-                if S[i][j] != 0 and (piv is None or abs(S[i][j]) < abs(S[piv[0]][piv[1]])):
-                    piv = (i, j)
-        if piv is None:
-            break
-        swap_rows(t, piv[0])
-        swap_cols(t, piv[1])
-        while True:
-            dirty = False
-            for i in range(t + 1, m):
-                if S[i][t] != 0:
-                    c = S[i][t] // S[t][t]
-                    add_row(i, t, -c)
-                    if S[i][t] != 0:
-                        swap_rows(t, i)
-                        dirty = True
-            for j in range(t + 1, n):
-                if S[t][j] != 0:
-                    c = S[t][j] // S[t][t]
-                    add_col(j, t, -c)
-                    if S[t][j] != 0:
-                        swap_cols(t, j)
-                        dirty = True
-            if dirty:
-                continue
-            # Row and column are clear; force divisibility of the block.
-            bad = None
-            for i in range(t + 1, m):
-                for j in range(t + 1, n):
-                    if S[i][j] % S[t][t] != 0:
-                        bad = i
-                        break
-                if bad is not None:
-                    break
-            if bad is None:
-                break
-            add_row(t, bad, 1)
-        if S[t][t] < 0:
-            S[t] = [-a for a in S[t]]
-            U[t] = [-a for a in U[t]]
-        t += 1
-    return U, S, V
-
-
-def snf_diagonal(S: Matrix) -> List[int]:
-    return [S[i][i] for i in range(min(len(S), len(S[0]) if S else 0))]
+def _scale_pivot(row: List[int], j: int, q: int) -> Tuple[List[int], int]:
+    """(row times a unit mod q, d) such that the new row[j] is d = gcd(row[j], q)."""
+    d = math.gcd(row[j], q)
+    if row[j] != d:
+        u = pow(row[j] // d, -1, q // d)
+        while math.gcd(u, q) != 1:
+            u += q // d
+        row = [(u * x) % q for x in row]
+    return row, d
 
 
 def form_order(form: Matrix, q: int) -> int:
@@ -152,20 +69,13 @@ def howell_form(A: Matrix, q: int, n: int) -> Matrix:
             elif piv is None:
                 piv = row
             else:
-                while row[j]:
-                    c = piv[j] // row[j]
-                    piv, row = row, [(x - c * y) % q for x, y in zip(piv, row)]
+                piv, row = _euclid(piv, row, j, q)
                 if any(row):
                     rest.append(row)
         pool = rest
         if piv is None:
             continue
-        d = math.gcd(piv[j], q)
-        if piv[j] != d:
-            u = pow(piv[j] // d, -1, q // d)
-            while math.gcd(u, q) != 1:
-                u += q // d
-            piv = [(u * x) % q for x in piv]
+        piv, d = _scale_pivot(piv, j, q)
         for row in out:
             c = row[j] // d
             if c:
@@ -258,20 +168,52 @@ def solve_right_mod(A: Matrix, v: Sequence[int], q: int) -> Optional[List[int]]:
     return solve_left_mod(At, v, q)
 
 
-def independent_decomposition(relations: Matrix, k: int) -> Tuple[Matrix, List[int]]:
-    """Turn k generators with a given relation lattice into independent ones.
+def independent_decomposition(rows: Matrix, q: int) -> Tuple[Matrix, List[int]]:
+    """Independent generators of the subgroup of Z_q^m spanned by k rows, from
+    their Smith form over Z_q.
 
-    relations: rows x with sum_i x_i g_i = 0; the lattice they span must have
-    full rank k.  Returns (C, orders): row j of C expresses the new generator
-    g'_j as an integer combination of the old ones, and g'_j has order
-    orders[j] (orders form a divisor chain; entries equal to 1 are trivial).
+    Row steps, tracked in U, and untracked column steps bring the rows to
+    diag(d_0, d_1, ...) with d_t | q and d_t | d_{t+1}.  Step t takes the
+    entry with the least gcd with q as pivot, clears its column by Euclid
+    row steps, scales it by a unit to d = gcd(pivot, q), and, while d fails
+    to divide its row or a later row (which is then added to it), makes a
+    Euclid column step and starts over.  Once d divides them all, the column
+    steps that clear the pivot row touch no other row and are skipped.
+
+    Returns (C, orders): row t of C, row t of U, expresses a generator of
+    order q/d_t (order 1 for a zero row) as a combination of the old ones;
+    the new generators are independent and span the same subgroup.  The
+    pairs are stable-sorted by ascending order, which makes the orders a
+    divisor chain; at prime q a Howell form comes back as (I, (q, ..., q)).
     """
-    if not relations:
-        raise ValueError("relation lattice must have full rank")
-    _, S, V = smith_normal_form(relations)
-    diag = snf_diagonal(S)
-    if len(diag) < k or any(d == 0 for d in diag[:k]):
-        raise ValueError("relation lattice must have full rank")
-    Vinv = mat_inverse_unimodular(V)
-    C = [list(Vinv[j]) for j in range(k)]
-    return C, [diag[j] for j in range(k)]
+    k = len(rows)
+    m = len(rows[0]) if k else 0
+    # [S | U]: row steps act on both parts, column steps on S only
+    T = [[x % q for x in row] + [int(i == j) for j in range(k)] for i, row in enumerate(rows)]
+    orders = [1] * k
+    for t in range(k):
+        piv = min(
+            ((math.gcd(x, q), i, j) for i in range(t, k) for j, x in enumerate(T[i][:m]) if x),
+            default=None,
+        )
+        if piv is None:
+            break
+        _, i, j = piv
+        T[t], T[i] = T[i], T[t]
+        while True:
+            for i in range(t + 1, k):
+                T[t], T[i] = _euclid(T[t], T[i], j, q)
+            T[t], d = _scale_pivot(T[t], j, q)
+            j2 = next((c for c in range(m) if T[t][c] % d), None)
+            if j2 is None:
+                bad = next((i for i in range(t + 1, k) if any(x % d for x in T[i][:m])), None)
+                if bad is None:
+                    break
+                T[t] = [(x + y) % q for x, y in zip(T[t], T[bad])]
+                j2 = next(c for c in range(m) if T[t][c] % d)
+            cj, cl = _euclid([row[j] for row in T[t:]], [row[j2] for row in T[t:]], 0, q)
+            for row, x, y in zip(T[t:], cj, cl):
+                row[j], row[j2] = x, y
+        orders[t] = q // d
+    perm = sorted(range(k), key=orders.__getitem__)
+    return [T[t][m:] for t in perm], [orders[t] for t in perm]

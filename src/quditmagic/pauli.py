@@ -17,7 +17,6 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from .config import DEFAULT_CONFIG, RunConfig, check_dense
-from .ring import Modulus, factorize
 
 
 class ShapeMismatch(ValueError):
@@ -152,30 +151,6 @@ def apply_to_state(P: PauliLabel, psi: np.ndarray) -> np.ndarray:
 
 def label_sort_key(P: PauliLabel) -> Tuple:
     return (P.a, P.b, P.c)
-
-
-def crt_permutation(q: int) -> Tuple[List[int], bool]:
-    """Basis permutation splitting a composite qudit into prime-power factors.
-
-    Returns (perm, trivial).  perm[j] is the little-endian index of the tuple
-    (j mod p_1^{r_1}, ..., j mod p_k^{r_k}); conjugating a q-dimensional Pauli
-    by the permutation matrix |perm[j]><j| produces a tensor product of
-    prime-power Paulis.  For prime powers the identity is returned with
-    trivial=True.
-    """
-    m: Modulus = factorize(q)
-    if len(m.factors) == 1:
-        return list(range(q)), True
-    moduli = [p ** r for p, r in m.factors]
-    perm = []
-    for j in range(q):
-        idx = 0
-        stride = 1
-        for mod in moduli:
-            idx += (j % mod) * stride
-            stride *= mod
-        perm.append(idx)
-    return perm, False
 
 
 def to_text(P: PauliLabel) -> str:

@@ -1,6 +1,6 @@
 """Residue-ring and Galois-ring arithmetic.
 
-Covers prime factorization of the qudit dimension q, CRT splitting, and the
+Covers prime factorization of the qudit dimension q and the
 Galois ring GR(p^r, n) with Frobenius, trace and trace-dual bases.  The ring
 is represented as Z_{p^r}[x]/(h) where h is the Hensel lift of the
 lexicographically smallest monic degree-n irreducible factor of
@@ -63,24 +63,6 @@ def factorize(q: int) -> Modulus:
     if rest > 1:
         factors.append((rest, 1))
     return Modulus(q=q, factors=tuple(factors))
-
-
-def crt_split(a: int, m: Modulus) -> Tuple[int, ...]:
-    """Residues of a modulo each prime-power factor of q."""
-    return tuple(a % (p ** r) for p, r in m.factors)
-
-
-def crt_combine(residues: Sequence[int], m: Modulus) -> int:
-    """Inverse of crt_split."""
-    moduli = [p ** r for p, r in m.factors]
-    if len(residues) != len(moduli):
-        raise InvalidModulus("residue count does not match factorization")
-    a = 0
-    for res, mod in zip(residues, moduli):
-        other = m.q // mod
-        # other is invertible mod this prime power
-        a += res * other * pow(other, -1, mod)
-    return a % m.q
 
 
 # ---------------------------------------------------------------------------

@@ -23,12 +23,12 @@ where base(rows, x) is the phase of the same product with every c_i set to
 0.  validate, supported_subgroup and expectation_exponent therefore split
 into phase-free lattice data (kernels, relations with their base phases,
 commutation verdict, order, key, Howell form) and integer dot products with
-the generators' phases.  supported_subgroup and expectation_exponent keep
-the phase-free part in small fixed-size LRU memos keyed on (q, exponent
-rows[, region]) with tuple values, so the many groups that share a lattice
-and differ only in phases (all phase assignments of one lattice, the
-repeated braiding queries on one toric ground group) factorize it once; the
-phase checks still run on every call.  independent_generators memos its
+the generators' phases.  All three keep the phase-free part in small
+fixed-size LRU memos keyed on (q, exponent rows[, region]) with tuple
+values, so the many groups that share a lattice and differ only in phases
+(all phase assignments of one lattice, the repeated braiding queries on one
+toric ground group) factorize it once; the commutation and phase checks
+still run on every call.  independent_generators memos its
 decomposition, and sps_vector the combinations whose products are
 diagonal, the same way.
 
@@ -110,6 +110,7 @@ def _rows_key(gens: Sequence[PauliLabel]) -> Tuple[Tuple[int, ...], ...]:
     return tuple(g.a + g.b for g in gens)
 
 
+@functools.lru_cache(maxsize=64)
 def _lattice_data(q: int, n: int, rows: Tuple[Tuple[int, ...], ...]) -> Tuple:
     """Phase-free part of validate for generators with these exponent rows:
     (first non-commuting pair or None, relations with their base phases,
@@ -159,12 +160,12 @@ def trivial_group(q: int, n: int) -> StabilizerGroup:
 
 @functools.lru_cache(maxsize=16)
 def _decomposition(q: int, rows: Tuple[Tuple[int, ...], ...]) -> Tuple:
-    """linalg.independent_decomposition (C, orders) of generators with these
-    exponent rows; all phase assignments of one lattice and all conjugates of
-    one group share it."""
-    if not rows:
-        return (), ()
-    C, orders = linalg.independent_decomposition(linalg.left_kernel_mod(rows, q), len(rows))
+    """(C, orders) of generators with these exponent rows, from the Smith
+    form mod q of the rows themselves (linalg.independent_decomposition):
+    row j of C gives the exponents of an independent generator of order
+    orders[j], ascending.  All phase assignments of one lattice and all
+    conjugates of one group share it."""
+    C, orders = linalg.independent_decomposition(rows, q)
     return tuple(map(tuple, C)), tuple(orders)
 
 

@@ -44,15 +44,26 @@ def oracle_prime_power(p, r, n):
     return members, tags
 
 
+def crt_combine(residues, m):
+    """The residue mod m.q with the given residues mod each prime-power factor."""
+    a = 0
+    for res, (p, r) in zip(residues, m.factors):
+        mod = p ** r
+        other = m.q // mod
+        # other is invertible mod this prime power
+        a += res * other * pow(other, -1, mod)
+    return a % m.q
+
+
 def oracle_cover(q, n):
-    """cover_composite by ring arithmetic and ring.crt_combine per entry."""
+    """cover_composite by ring arithmetic and crt_combine per entry."""
     mod = ring.factorize(q)
     parts = [oracle_prime_power(p, r, n) for p, r in mod.factors]
     members, tags = [], []
     for combo in itertools.product(*(range(len(m)) for m, _ in parts)):
         chosen = [parts[j][0][idx] for j, idx in enumerate(combo)]
         members.append(tuple(
-            tuple(ring.crt_combine([m[k][col] for m in chosen], mod) for col in range(2 * n))
+            tuple(crt_combine([m[k][col] for m in chosen], mod) for col in range(2 * n))
             for k in range(n)))
         tags.append("*".join(parts[j][1][idx] for j, idx in enumerate(combo)))
     return tuple(members), tuple(tags)

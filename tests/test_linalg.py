@@ -1,11 +1,10 @@
 import itertools
 import math
 
-import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from quditmagic import linalg
+from quditmagic import linalg, stabilizer
 
 
 def small_matrix(max_dim=4, max_entry=9):
@@ -18,83 +17,6 @@ def small_matrix(max_dim=4, max_entry=9):
             )
         )
     )
-
-
-def det_bareiss(M):
-    """Exact integer determinant by fraction-free Bareiss elimination."""
-    A = [list(row) for row in M]
-    n = len(A)
-    sign, prev = 1, 1
-    for k in range(n - 1):
-        if A[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if A[i][k] != 0), None)
-            if swap is None:
-                return 0
-            A[k], A[swap] = A[swap], A[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                A[i][j] = (A[i][j] * A[k][k] - A[i][k] * A[k][j]) // prev
-        prev = A[k][k]
-    return sign * A[-1][-1]
-
-
-def is_unimodular(M):
-    return abs(det_bareiss(M)) == 1
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.integers(min_value=1, max_value=4).flatmap(
-    lambda n: st.lists(
-        st.lists(st.integers(min_value=-9, max_value=9), min_size=n, max_size=n),
-        min_size=n, max_size=n,
-    )
-))
-def test_det_bareiss_matches_float(M):
-    assert det_bareiss(M) == round(np.linalg.det(np.array(M, dtype=float)))
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    st.integers(min_value=1, max_value=5),
-    st.lists(
-        st.tuples(st.integers(0, 4), st.integers(0, 4), st.integers(-3, 3)),
-        max_size=12,
-    ),
-)
-def test_mat_inverse_unimodular_of_elementary_products(n, ops):
-    # (i, j, c): add c times row j to row i, or negate row i when i == j
-    V = linalg.identity_matrix(n)
-    for i, j, c in ops:
-        i, j = i % n, j % n
-        if i == j:
-            V[i] = [-x for x in V[i]]
-        else:
-            V[i] = [x + c * y for x, y in zip(V[i], V[j])]
-    inv = linalg.mat_inverse_unimodular(V)
-    assert linalg.mat_mul(inv, V) == linalg.identity_matrix(n)
-    assert linalg.mat_mul(V, inv) == linalg.identity_matrix(n)
-
-
-@settings(max_examples=60, deadline=None)
-@given(small_matrix())
-def test_smith_normal_form_properties(A):
-    U, S, V = linalg.smith_normal_form(A)
-    assert linalg.mat_mul(linalg.mat_mul(U, A), V) == S
-    assert is_unimodular(U) and is_unimodular(V)
-    d = linalg.snf_diagonal(S)
-    # off-diagonal entries vanish
-    for i, row in enumerate(S):
-        for j, x in enumerate(row):
-            if i != j:
-                assert x == 0
-    # nonnegative divisor chain
-    for i in range(len(d) - 1):
-        assert d[i] >= 0
-        if d[i] != 0:
-            assert d[i + 1] % d[i] == 0
-        else:
-            assert d[i + 1] == 0
 
 
 def brute_subgroup(rows, q, n):
@@ -116,6 +38,36 @@ def brute_kernel(A, q):
         for x in itertools.product(range(q), repeat=len(A))
         if all(sum(c * a for c, a in zip(x, col)) % q == 0 for col in zip(*A))
     }
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(min_value=2, max_value=12), small_matrix())
+@example(6, [[2, 0], [0, 3]])  # d = 2 fails to divide a later row
+@example(6, [[2, 3]])  # d = 2 fails to divide its own row
+def test_smith_normal_form_properties(q, A):
+    # independent_decomposition is a Smith form over Z_q of the rows of A
+    k, n = len(A), len(A[0])
+    C, orders = linalg.independent_decomposition(A, q)
+    assert all(0 <= x < q for row in C for x in row)
+    G = [[sum(c * row[j] for c, row in zip(crow, A)) % q for j in range(n)] for crow in C]
+    assert linalg.lattice_key(G, q, n) == linalg.lattice_key(A, q, n)
+    assert math.prod(orders) == linalg.subgroup_order(A, q, n)
+    for g, d in zip(G, orders):
+        assert linalg.subgroup_order([g], q, n) == d
+    for d, e in zip(orders, orders[1:]):
+        assert e % d == 0
+    assert linalg.subgroup_order(C, q, k) == q ** k
+
+
+@pytest.mark.parametrize("n,q", [(2, 2), (2, 3), (3, 2), (2, 5)])
+def test_prime_howell_forms_decompose_to_identity(n, q):
+    # the dictionary's column order relies on each form's rows being its
+    # independent generators, in order
+    for form in stabilizer.isotropic_lattices(q, n):
+        k = len(form)
+        assert linalg.independent_decomposition(form, q) == (
+            linalg.identity_matrix(k), [q] * k
+        )
 
 
 def check_howell_shape(H, q):
@@ -223,10 +175,11 @@ def test_kernel_and_solve_at_composite_moduli(q, A, v):
     gens = linalg.left_kernel_mod(A, q)
     spanned = brute_subgroup([[c % q for c in g] for g in gens], q, len(A))
     assert spanned == brute_kernel(A, q)
-    # over Z they span the kernel lattice itself, which contains q*Z^k: its
-    # index q^k / |kernel mod q| is the product of their invariant factors
-    _, orders = linalg.independent_decomposition(gens, len(A))
-    assert math.prod(orders) * len(spanned) == q ** len(A)
+    # x -> x*A maps Z_q^k onto the image with this kernel; over Z the rows
+    # also span q*Z^k, which phase checks need for relations such as g^q
+    assert len(brute_subgroup(A, q, n)) * len(spanned) == q ** len(A)
+    for i in range(len(A)):
+        assert [q * (i == j) for j in range(len(A))] in gens
     x = linalg.solve_left_mod(A, v, q)
     image = brute_subgroup(A, q, n)
     if tuple(t % q for t in v) in image:
@@ -267,24 +220,14 @@ def test_right_solvers_consistency():
 
 
 def test_independent_decomposition_orders():
-    # two generators of Z_4 x Z_2 presented with entangled relations
-    q = 4
-    relations = [[4, 0], [2, 2], [0, 4]]
-    C, orders = linalg.independent_decomposition(relations, 2)
-    assert sorted(orders) in ([1, 8], [2, 4])
-    prod = 1
-    for d in orders:
-        prod *= d
-    assert prod == 8
-    # new generators still generate: C is invertible over the integers
-    assert is_unimodular(C)
-
-
-def test_independent_decomposition_rejects_deficient():
-    with pytest.raises(ValueError):
-        linalg.independent_decomposition([], 2)
-    with pytest.raises(ValueError):
-        linalg.independent_decomposition([[2, 0]], 2)
+    # Z_4 x Z_2 in Z_4^2, given by two entangled generators of order 4
+    q, A = 4, [[1, 2], [1, 0]]
+    C, orders = linalg.independent_decomposition(A, q)
+    assert orders == [2, 4]
+    G = [[sum(c * row[j] for c, row in zip(crow, A)) % q for j in range(2)] for crow in C]
+    assert [linalg.subgroup_order([g], q, 2) for g in G] == orders
+    assert linalg.lattice_key(G, q, 2) == linalg.lattice_key(A, q, 2)
+    assert linalg.subgroup_order(C, q, 2) == q ** 2
 
 
 def test_lattice_key_canonical():

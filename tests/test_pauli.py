@@ -1,4 +1,3 @@
-import itertools
 
 import numpy as np
 import pytest
@@ -158,37 +157,6 @@ def test_little_endian_site_order():
     omega = np.exp(2j * np.pi / 3)
     expected = np.diag([omega ** (j % 3) for j in range(9)])
     assert np.allclose(pauli.to_dense(P), expected)
-
-
-def test_crt_permutation_splits_composite_paulis():
-    q = 6
-    perm, trivial = pauli.crt_permutation(q)
-    assert not trivial
-    U = np.zeros((q, q))
-    for j in range(q):
-        U[perm[j], j] = 1.0
-    Z6 = pauli.to_dense(pauli.label(q, 1, [1], [0], 0))
-    X6 = pauli.to_dense(pauli.label(q, 1, [0], [1], 0))
-    for M in (Z6, X6):
-        conj = U @ M @ U.T
-        found = False
-        # search the factor-Pauli tensor products (with 12th-root phases)
-        for a2, b2, a3, b3 in itertools.product(range(2), range(2), range(3), range(3)):
-            P2 = pauli.to_dense(pauli.label(2, 1, [a2], [b2], 0))
-            P3 = pauli.to_dense(pauli.label(3, 1, [a3], [b3], 0))
-            T = np.kron(P3, P2)
-            for c in range(12):
-                if np.allclose(conj, np.exp(1j * np.pi * c / 6) * T, atol=1e-9):
-                    found = True
-                    break
-            if found:
-                break
-        assert found
-
-
-def test_crt_permutation_prime_power_trivial():
-    perm, trivial = pauli.crt_permutation(4)
-    assert trivial and perm == [0, 1, 2, 3]
 
 
 def test_symplectic_vector_and_sort_key():

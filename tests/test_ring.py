@@ -22,18 +22,6 @@ def test_factorize_rejects_small():
         ring.factorize(0)
 
 
-@given(st.integers(min_value=0, max_value=359))
-def test_crt_round_trip(a):
-    m = ring.factorize(360)
-    assert ring.crt_combine(ring.crt_split(a, m), m) == a
-
-
-def test_crt_combine_length_check():
-    m = ring.factorize(6)
-    with pytest.raises(ring.InvalidModulus):
-        ring.crt_combine([1], m)
-
-
 def test_factorize_primes_and_prime_powers():
     assert ring.factorize(2).factors == ((2, 1),)
     assert ring.factorize(243).factors == ((3, 5),)

@@ -300,7 +300,8 @@ def test_expectation_exponent_matches_element_lookup(q):
 
 def test_supported_subgroup_checks_phases_on_every_call():
     # a valid group with rows (Z0, Z0) is queried first; a hand-built group
-    # with the same rows and gens Z0, -Z0 must still be rejected, every time
+    # with the same rows and gens Z0, -Z0 must still be rejected, every time,
+    # by supported_subgroup and by validate
     Z0 = lbl(2, 2, [1, 0], [0, 0])
     good = stabilizer.validate([Z0, Z0])
     bad = stabilizer.StabilizerGroup(
@@ -311,6 +312,9 @@ def test_supported_subgroup_checks_phases_on_every_call():
             assert stabilizer.supported_subgroup(good, region).order == 2
             with pytest.raises(stabilizer.InconsistentPhase):
                 stabilizer.supported_subgroup(bad, region)
+        assert stabilizer.validate(good.gens).order == 2
+        with pytest.raises(stabilizer.InconsistentPhase):
+            stabilizer.validate(bad.gens)
 
 
 def test_supported_subgroup_checks_commutation_on_every_call():
@@ -322,6 +326,9 @@ def test_supported_subgroup_checks_commutation_on_every_call():
             with pytest.raises(stabilizer.NonCommutingPair) as err:
                 stabilizer.supported_subgroup(bad, region)
             assert err.value.pair == (0, 1)
+        with pytest.raises(stabilizer.NonCommutingPair) as err:
+            stabilizer.validate(bad.gens)
+        assert err.value.pair == (0, 1)
 
 
 def test_equal_rows_keep_their_own_phases():
