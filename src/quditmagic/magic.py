@@ -9,7 +9,9 @@ dictionary scan), relative entropy of magic, min log lambda with
 rho <= lambda*sigma over the hull and the generalized robustness
 log(2*lambda-1) at the same optimum (both for pure states), and the
 robustness LP.  S_rel, S_max-to-set and LGR come from one away-step
-Frank-Wolfe engine with a certified gap.  Every reported value is feasible;
+Frank-Wolfe engine with a certified gap; each objective supplies its own
+exact line search (a closed form for S_max, a root of the d x d directional
+derivative for S_rel).  Every reported value is feasible;
 its status is "exact" or "upper-estimate" and its gap is the certified width
 of the bracket [value - gap, value].  Also the patch-certificate machinery
 turning trace-distance lower bounds on small patches into global
@@ -46,6 +48,11 @@ class StabilizerDictionary:
     def matrix(self) -> np.ndarray:
         """The d x K matrix whose columns are the dictionary vectors."""
         return np.column_stack(self.vectors)
+
+    @cached_property
+    def adjoint(self) -> np.ndarray:
+        """The K x d conjugate transpose of `matrix`: row k is phi_k^dag."""
+        return self.matrix.conj().T
 
 
 def build_dictionary(n: int, q: int, config: RunConfig = DEFAULT_CONFIG) -> StabilizerDictionary:
@@ -89,7 +96,7 @@ def lf_pure(psi: np.ndarray, dic: StabilizerDictionary,
             config: RunConfig = DEFAULT_CONFIG) -> Tuple[float, np.ndarray]:
     """LF = -log max_phi |<phi|psi>|^2, exact; the maximum over the convex
     hull of pure stabilizer states is attained at a vertex."""
-    fids = np.abs(dic.matrix.conj().T @ psi) ** 2
+    fids = np.abs(dic.adjoint @ psi) ** 2
     k = int(np.argmax(fids))
     return -log_value(float(fids[k]), config), dic.vectors[k]
 
@@ -114,14 +121,14 @@ def lr_lp(rho: np.ndarray, dic: StabilizerDictionary,
     K = len(dic.vectors)
     Phi = dic.matrix
     # column k: the coordinates of phi_k phi_k^dag
-    H = _herm_coords(Phi.T[:, :, None] * Phi.conj().T[:, None, :]).T
+    H = _herm_coords(Phi.T[:, :, None] * dic.adjoint[:, None, :]).T
     A = np.hstack([H, -H])
     b = _herm_coords(rho)
     c = np.ones(2 * K)
     sol = simplex.solve_lp(A, b, c)
     coeffs = sol.x[:K] - sol.x[K:]
     witness = _herm_from_coords(sol.dual, d)
-    feas = float(np.max(np.abs(_expectations(Phi, witness))))
+    feas = float(np.max(np.abs(_expectations(dic, witness))))
     if feas > 1.0 + 1e-8:
         raise ArithmeticError("dual witness violates |Tr(A sigma)| <= 1")
     dual_val = float(np.real(np.trace(witness @ rho)))
@@ -139,17 +146,17 @@ def lr_lp(rho: np.ndarray, dic: StabilizerDictionary,
 # Away-step Frank-Wolfe over the hull
 # ---------------------------------------------------------------------------
 
-def _expectations(Phi: np.ndarray, A: np.ndarray) -> np.ndarray:
-    """Tr(A phi_k phi_k^dag) for every column phi_k of Phi."""
-    return np.real(np.einsum("ik,ik->k", Phi.conj(), A @ Phi))
+def _expectations(dic: StabilizerDictionary, A: np.ndarray) -> np.ndarray:
+    """Tr(A phi_k phi_k^dag) for every dictionary vector phi_k."""
+    return np.real(np.einsum("ki,ik->k", dic.adjoint, A @ dic.matrix))
 
 
-def _mixture(Phi: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    return (Phi * weights) @ Phi.conj().T
+StepLength = Callable[[np.ndarray, np.ndarray, bool, float], Optional[float]]
 
 
 def _frank_wolfe(Phi: np.ndarray, scores: Callable[[np.ndarray], np.ndarray],
-                 gap_tol: float, max_iter: int) -> Tuple[np.ndarray, float, int]:
+                 step_length: StepLength, gap_tol: float, max_iter: int
+                 ) -> Tuple[np.ndarray, np.ndarray, float, int]:
     """Minimize a convex function of sigma over mixtures of the projectors
     onto Phi's columns, started at uniform weights (the maximally mixed state
     for a stabilizer dictionary, so the run does not depend on the frame).
@@ -157,18 +164,23 @@ def _frank_wolfe(Phi: np.ndarray, scores: Callable[[np.ndarray], np.ndarray],
     scores(sigma)[k] is the derivative of the objective along vertex k's
     weight.  Away steps (Lacoste-Julien & Jaggi 2015) are used alongside the
     plain vertex steps, which restores fast convergence when the optimum sits
-    on a face.  Each step length is the root of the directional derivative,
-    which stays resolvable long after value differences drown in rounding.
-    Returns (weights, gap, iterations), where gap is the Frank-Wolfe
-    linearization gap at the returned weights, a certified bound on the
-    distance of their objective value to the minimum.
+    on a face.  Each objective supplies its exact line search:
+    step_length(sigma, phi, toward, t_max) minimizes along
+    sigma + t (phi phi^dag - sigma) (toward) or sigma + t (sigma - phi phi^dag)
+    (away) over t in [0, t_max] from the root of the directional derivative,
+    which stays resolvable long after value differences drown in rounding,
+    and returns None when the step has no descent left.  Returns (weights,
+    sigma, gap, iterations), where gap is the Frank-Wolfe linearization gap at
+    the returned weights, a certified bound on the distance of their
+    objective value to the minimum, and sigma is their mixture.
     """
-    import scipy.optimize  # on first use, so commands without magic never load it
+    Phi_H = Phi.conj().T
     K = Phi.shape[1]
     weights = np.full(K, 1.0 / K)
     it = 0
     while True:
-        s = scores(_mixture(Phi, weights))
+        sigma = (Phi * weights) @ Phi_H
+        s = scores(sigma)
         fw = int(np.argmin(s))
         g = float(weights @ s)
         gap = g - s[fw]
@@ -177,7 +189,8 @@ def _frank_wolfe(Phi: np.ndarray, scores: Callable[[np.ndarray], np.ndarray],
         it += 1
         active = np.nonzero(weights > 0.0)[0]
         away = int(active[np.argmax(s[active])])
-        if gap >= s[away] - g or weights[away] == 1.0:
+        toward = gap >= s[away] - g or weights[away] == 1.0
+        if toward:
             step = -weights   # toward vertex fw
             step[fw] += 1.0
             t_max = 1.0
@@ -185,22 +198,14 @@ def _frank_wolfe(Phi: np.ndarray, scores: Callable[[np.ndarray], np.ndarray],
             step = weights.copy()   # away from vertex away, up to dropping it
             step[away] -= 1.0
             t_max = weights[away] / (1.0 - weights[away])
-
-        def slope(t: float) -> float:
-            return float(scores(_mixture(Phi, weights + t * step)) @ step)
-
-        if slope(t_max) <= 0.0:
-            t = t_max
-        else:
-            try:
-                t = scipy.optimize.brentq(slope, 0.0, t_max, xtol=1e-15, rtol=1e-15)
-            except ValueError:  # slope(0) >= 0 within rounding: no descent left
-                break
+        t = step_length(sigma, Phi[:, fw if toward else away], toward, t_max)
+        if t is None:   # the derivative is >= 0 at t = 0 within rounding
+            break
         weights = np.clip(weights + t * step, 0.0, None)
         if t == t_max and step[away] < 0.0:
             weights[away] = 0.0
         weights /= weights.sum()
-    return weights, max(gap, 0.0), it
+    return weights, sigma, max(gap, 0.0), it
 
 
 # ---------------------------------------------------------------------------
@@ -224,11 +229,51 @@ SMAX_GAP_TOL = 1e-10
 SMAX_MAX_ITER = 10000
 
 
-def _fractional(psi: np.ndarray, sigma: np.ndarray) -> Tuple[float, np.ndarray]:
-    """psi^dag sigma^-1 psi and sigma^-1 psi, sigma's eigenvalues floored."""
+def _floored_eigh(sigma: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """sigma's eigenvalues, floored at EIG_FLOOR, and its eigenvectors."""
     ws, vs = np.linalg.eigh(sigma)
-    x = vs @ ((vs.conj().T @ psi) / np.clip(ws, EIG_FLOOR, None))
-    return float(np.real(np.vdot(psi, x))), x
+    return np.clip(ws, EIG_FLOOR, None), vs
+
+
+def _inverse_times(eig: Tuple[np.ndarray, np.ndarray], v: np.ndarray) -> np.ndarray:
+    """sigma^-1 v from sigma's floored eigendecomposition."""
+    ws, vs = eig
+    return vs @ ((vs.conj().T @ v) / ws)
+
+
+def _smax_step(eig: Tuple[np.ndarray, np.ndarray], psi: np.ndarray, phi: np.ndarray,
+               toward: bool, t_max: float) -> Optional[float]:
+    """Exact line search of f = psi^dag sigma^-1 psi along a Frank-Wolfe step
+    toward or away from phi phi^dag, in closed form.
+
+    On either step sigma(t) is a multiple of sigma + s phi phi^dag, with
+    s = t/(1-t) toward and s = -t/(1+t) away, and Sherman-Morrison gives
+    f(s) = (1+s)(a + e s)/(1 + c s), where a = psi^dag sigma^-1 psi,
+    U = |phi^dag sigma^-1 psi|^2, c = phi^dag sigma^-1 phi and e = ac - U >= 0.
+    df/ds has the sign of c e s^2 + 2 e s + (a - U), so the step ends at its
+    root (U - a) / (e + sqrt(e^2 + c e (U - a))), or at t_max when the root
+    lies at or beyond it or does not exist.  None when df/dt >= 0 at t = 0.
+    """
+    x = _inverse_times(eig, psi)
+    a = float(np.real(np.vdot(psi, x)))
+    c = float(np.real(np.vdot(phi, _inverse_times(eig, phi))))
+    U = abs(complex(np.vdot(phi, x))) ** 2
+    if (a - U if toward else U - a) >= 0.0:
+        return None
+    e = a * c - U
+    if e <= 1e-12 * a * c:   # phi parallel to psi within rounding
+        return t_max
+    disc = e * e + c * e * (U - a)
+    if disc < 0.0:   # an away step without a stationary point
+        return t_max
+    s = (U - a) / (e + math.sqrt(disc))
+    if toward:
+        t = s / (1.0 + s)
+    elif s > -1.0:
+        t = -s / (1.0 + s)
+    else:
+        return t_max
+    return min(t, t_max)
 
 
 def smax_lgr_pure(psi: np.ndarray, dic: StabilizerDictionary,
@@ -239,14 +284,23 @@ def smax_lgr_pure(psi: np.ndarray, dic: StabilizerDictionary,
     f(w) = psi^dag sigma(w)^-1 psi is convex in the hull weights w with
     df/dw_k = -|phi_k^dag sigma^-1 psi|^2, so Frank-Wolfe certifies the
     bracket [max(f - gap, 1), f]; the values reported are the feasible upper
-    ends, and both gaps are bracket widths in the configured log units.
+    ends, and both gaps are bracket widths in the configured log units.  The
+    scores and the closed-form step share one eigendecomposition of sigma.
     """
-    Phi = dic.matrix
-    weights, gap, it = _frank_wolfe(
-        Phi, lambda sigma: -np.abs(Phi.conj().T @ _fractional(psi, sigma)[1]) ** 2,
+    eig = None   # sigma's floored eigendecomposition at the current iterate
+
+    def scores(sigma: np.ndarray) -> np.ndarray:
+        nonlocal eig
+        eig = _floored_eigh(sigma)
+        return -np.abs(dic.adjoint @ _inverse_times(eig, psi)) ** 2
+
+    weights, _, gap, it = _frank_wolfe(
+        dic.matrix, scores,
+        lambda sigma, phi, toward, t_max: _smax_step(eig, psi, phi, toward, t_max),
         SMAX_GAP_TOL, SMAX_MAX_ITER,
     )
-    lam = max(_fractional(psi, _mixture(Phi, weights))[0], 1.0)
+    # the last scores call was at the returned weights
+    lam = max(float(np.real(np.vdot(psi, _inverse_times(eig, psi)))), 1.0)
     low = max(lam - gap, 1.0)
     s_max = log_value(lam, config)
     lgr = log_value(2.0 * lam - 1.0, config)
@@ -282,8 +336,7 @@ def _entropy_term_nat(rho: np.ndarray) -> float:
 
 
 def _cross_term_nat(rho: np.ndarray, sigma: np.ndarray) -> float:
-    ws, vs = np.linalg.eigh(sigma)
-    ws = np.clip(ws, EIG_FLOOR, None)
+    ws, vs = _floored_eigh(sigma)
     diag = np.real(np.einsum("ij,jk,ki->i", vs.conj().T, rho, vs))
     return -float(np.sum(diag * np.log(ws)))
 
@@ -291,8 +344,7 @@ def _cross_term_nat(rho: np.ndarray, sigma: np.ndarray) -> float:
 def _gradient(rho: np.ndarray, sigma: np.ndarray) -> np.ndarray:
     """G with d/dt S(rho || sigma + tH) = Tr(G H): divided differences of log
     in sigma's eigenbasis."""
-    ws, vs = np.linalg.eigh(sigma)
-    ws = np.clip(ws, EIG_FLOOR, None)
+    ws, vs = _floored_eigh(sigma)
     rho_t = vs.conj().T @ rho @ vs
     lw = np.log(ws)
     denom = ws[:, None] - ws[None, :]
@@ -303,17 +355,42 @@ def _gradient(rho: np.ndarray, sigma: np.ndarray) -> np.ndarray:
     return vs @ G_t @ vs.conj().T
 
 
+def _rel_entropy_step(rho: np.ndarray, sigma: np.ndarray, phi: np.ndarray,
+                      toward: bool, t_max: float) -> Optional[float]:
+    """Exact line search of S(rho || sigma + tD), D = phi phi^dag - sigma
+    toward phi and sigma - phi phi^dag away: the root of its derivative
+    Re Tr(G(sigma + tD) D), bracketed on [0, t_max]."""
+    import scipy.optimize  # on first use, so only S_rel and the LP load it
+    D = np.outer(phi, phi.conj()) - sigma
+    if not toward:
+        D = -D
+
+    def slope(t: float) -> float:
+        return float(np.vdot(D, _gradient(rho, sigma + t * D)).real)
+
+    if slope(t_max) <= 0.0:
+        return t_max
+    try:
+        return scipy.optimize.brentq(slope, 0.0, t_max, xtol=1e-15, rtol=1e-15)
+    except ValueError:  # slope(0) >= 0 within rounding: no descent left
+        return None
+
+
 def rel_entropy_magic(rho: np.ndarray, dic: StabilizerDictionary,
                       config: RunConfig = DEFAULT_CONFIG,
                       max_iter: int = 10000,
                       gap_tol: float = 1e-6) -> FwResult:
     """Frank-Wolfe minimization of S(rho || sigma) over the hull; returns a
-    feasible (upper-estimate) value and the certified duality gap."""
-    Phi = dic.matrix
-    weights, gap, it = _frank_wolfe(
-        Phi, lambda sigma: _expectations(Phi, _gradient(rho, sigma)), gap_tol, max_iter,
+    feasible (upper-estimate) value and the certified duality gap.
+
+    gap_tol is in nats, while the returned gap is in the configured log units
+    (a gap of gap_tol nats reads gap_tol / ln 2 bits).
+    """
+    _, sigma, gap, it = _frank_wolfe(
+        dic.matrix, lambda sigma: _expectations(dic, _gradient(rho, sigma)),
+        lambda sigma, phi, toward, t_max: _rel_entropy_step(rho, sigma, phi, toward, t_max),
+        gap_tol, max_iter,
     )
-    sigma = _mixture(Phi, weights)
     ln_b = math.log(config.base_value())
     return FwResult(
         value=(_entropy_term_nat(rho) + _cross_term_nat(rho, sigma)) / ln_b,
@@ -353,7 +430,7 @@ def distance_to_hull_lower(rho: np.ndarray, dic: StabilizerDictionary,
     Phi = dic.matrix
 
     def objective(W: np.ndarray) -> float:
-        top = float(np.max(_expectations(Phi, W)))
+        top = float(np.max(_expectations(dic, W)))
         return float(np.real(np.trace(W @ rho))) - top
 
     def clip(W: np.ndarray) -> np.ndarray:
@@ -364,7 +441,7 @@ def distance_to_hull_lower(rho: np.ndarray, dic: StabilizerDictionary,
     best = max(0.0, objective(W))
     best_W = W
     for k in range(1, iterations + 1):
-        top = int(np.argmax(_expectations(Phi, W)))
+        top = int(np.argmax(_expectations(dic, W)))
         W = clip(W + (1.0 / math.sqrt(k)) * (rho - np.outer(Phi[:, top], Phi[:, top].conj())))
         val = objective(W)
         if val > best:

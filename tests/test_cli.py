@@ -64,7 +64,8 @@ print(code, "scipy.optimize" in sys.modules)
     (["cover", "--q", "4", "--n", "1", "--verify"], False),
     (["certify", "--patches", "1.0:2,1.0:2"], False),
     (["magic", "--state", "T_STATE"], True),
-], ids=["import", "cover", "certify", "magic"])
+    (["magic", "--state", "T_STATE", "--measures", "lf,smax,lgr"], False),
+], ids=["import", "cover", "certify", "magic", "magic-lf-smax-lgr"])
 def test_only_magic_loads_scipy_optimize(tmp_path, argv, loaded):
     argv = [t_state_path(tmp_path) if a == "T_STATE" else a for a in argv]
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(quditmagic.__file__)))

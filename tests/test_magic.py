@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+import scipy.optimize
+from hypothesis import example, given, settings, strategies as st
 
 from quditmagic import dense, magic, pauli, stabilizer
 from quditmagic.config import RunConfig
@@ -188,6 +190,91 @@ def test_smax_equals_stabilizer_extent_literals(dic12):
     dic22 = magic.build_dictionary(2, 2, RunConfig())
     tt = np.kron(t_state(), t_state())
     assert abs(magic.smax_lgr_pure(tt, dic22).lam - 1 / c2 ** 2) < 1e-12
+
+
+def bracketed_smax_step(sigma, psi, phi, toward, t_max):
+    """The S_max line search by root finding, as the engine did it before its
+    closed form: the root of d/dt psi^dag sigma(t)^-1 psi along
+    sigma(t) = sigma + tD, bracketed on [0, t_max]."""
+    D = np.outer(phi, phi.conj()) - sigma
+    if not toward:
+        D = -D
+
+    def slope(t):
+        ws, vs = np.linalg.eigh(sigma + t * D)
+        x = vs @ ((vs.conj().T @ psi) / np.clip(ws, magic.EIG_FLOOR, None))
+        return -float(np.real(np.vdot(x, D @ x)))
+
+    if slope(t_max) <= 0.0:
+        return t_max
+    try:
+        return scipy.optimize.brentq(slope, 0.0, t_max, xtol=1e-15, rtol=1e-15)
+    except ValueError:
+        return None
+
+
+def random_unit(rng, d):
+    v = rng.normal(size=d) + 1j * rng.normal(size=d)
+    return v / np.linalg.norm(v)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(min_value=2, max_value=6),
+    st.integers(min_value=0, max_value=2 ** 32 - 1),
+    st.booleans(),
+    st.booleans(),
+    st.floats(min_value=0.05, max_value=1.0),
+)
+@example(3, 0, True, True, 1.0)     # phi = psi: e = 0, f falls all the way
+@example(3, 0, False, True, 1.0)    # phi = psi away: no descent
+@example(3, 0, True, False, 0.05)   # the root lies beyond t_max
+@example(3, 5, True, False, 1.0)    # no descent toward phi
+@example(3, 5, False, False, 1.0)   # the away step drops phi
+@example(3, 0, False, False, 1.0)   # an interior away step
+def test_smax_step_matches_bracketed_root(d, seed, toward, parallel, frac):
+    # sigma is a full-rank mixture of random projectors; an away step needs
+    # phi in it with weight w, and may then run up to t = w / (1 - w), so an
+    # interior root is compared on the scale of max(1, t)
+    rng = np.random.default_rng(seed)
+    vecs = [random_unit(rng, d) for _ in range(d + 2)]
+    sigma = sum(w * np.outer(v, v.conj()) for w, v in zip(rng.uniform(0.1, 1.0, d + 2), vecs))
+    sigma /= np.trace(sigma).real
+    psi = random_unit(rng, d)
+    phi = psi.copy() if parallel else random_unit(rng, d)
+    t_max = frac
+    if not toward:
+        w = rng.uniform(0.05, 0.95)
+        sigma = w * np.outer(phi, phi.conj()) + (1.0 - w) * sigma
+        t_max = frac * w / (1.0 - w)
+    got = magic._smax_step(magic._floored_eigh(sigma), psi, phi, toward, t_max)
+    want = bracketed_smax_step(sigma, psi, phi, toward, t_max)
+    if want is None or want == t_max:
+        assert got == want
+    else:
+        assert got is not None and got != t_max
+        assert abs(got - want) <= 1e-12 * max(1.0, want)
+
+
+# (S_max, S_rel) iteration counts of the engine from the uniform start; a
+# change to a step or to the vertex rule shows here first.  After T's first
+# S_max step the away/toward rule meets an exact tie: the correctly rounded
+# step length breaks it away (7 iterations), the closed form, one ulp above
+# it, toward (8).
+PINNED_ITERATIONS = [
+    pytest.param((1, 2), t_state(), 8, 7, id="T"),
+    pytest.param((2, 2), np.kron(t_state(), t_state()), 149, 92, id="TxT"),
+] + [
+    pytest.param((1, 2), random_state(2, 1, seed), smax, srel, id="random%d" % seed)
+    for seed, (smax, srel) in enumerate([(15, 7), (15, 7), (20, 23), (7, 7), (7, 7), (21, 10)])
+]
+
+
+@pytest.mark.parametrize("size,psi,smax,srel", PINNED_ITERATIONS)
+def test_frank_wolfe_iteration_counts(size, psi, smax, srel, dic12, lr_dics):
+    dic = dic12 if size == (1, 2) else lr_dics[size]
+    assert magic.smax_lgr_pure(psi, dic).iterations == smax
+    assert magic.rel_entropy_magic(dense.density_of(psi), dic).iterations == srel
 
 
 def test_rel_entropy_t_state(dic12):
