@@ -21,7 +21,7 @@ fidelity/entropy lower bounds.
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -38,7 +38,6 @@ class StabilizerDictionary:
     n: int
     q: int
     vectors: List[np.ndarray]
-    groups: List[stabilizer.StabilizerGroup]
 
     @property
     def dim(self) -> int:
@@ -58,12 +57,9 @@ class StabilizerDictionary:
 def build_dictionary(n: int, q: int, config: RunConfig = DEFAULT_CONFIG) -> StabilizerDictionary:
     """Dense vectors of every pure stabilizer state on (n, q)."""
     check_dense(q ** n, config)
-    vectors = []
-    groups = []
-    for sps in stabilizer.enumerate_pure_stabilizer_states(n, q, config):
-        vectors.append(stabilizer.sps_vector(sps, config))
-        groups.append(sps.group)
-    return StabilizerDictionary(n=n, q=q, vectors=vectors, groups=groups)
+    vectors = [stabilizer.sps_vector(sps, config)
+               for sps in stabilizer.enumerate_pure_stabilizer_states(n, q, config)]
+    return StabilizerDictionary(n=n, q=q, vectors=vectors)
 
 
 # ---------------------------------------------------------------------------
@@ -365,6 +361,7 @@ def _rel_entropy_step(rho: np.ndarray, sigma: np.ndarray, phi: np.ndarray,
     if not toward:
         D = -D
 
+    @lru_cache(maxsize=None)  # brentq re-evaluates slope(t_max)
     def slope(t: float) -> float:
         return float(np.vdot(D, _gradient(rho, sigma + t * D)).real)
 
@@ -531,8 +528,7 @@ def extensive_rel_entropy_bound(patches: Sequence[Tuple[float, int]],
     converted to the configured base)."""
     total_nat = 0.0
     for eps, D in patches:
-        if not 0.0 <= eps <= 2.0:
-            raise ValueError("trace-distance bound must lie in [0, 2]")
+        fsm_upper_from_distance(eps, D)  # the same checks on eps and D
         total_nat += eps * eps / (2.0 * D * D)
     return total_nat / math.log(config.base_value())
 

@@ -100,48 +100,6 @@ def _poly_rem(a: Sequence[int], h: Sequence[int], m: int) -> List[int]:
     return a
 
 
-def _poly_divmod_fp(a: Sequence[int], b: Sequence[int], p: int):
-    """Quotient and remainder in F_p[x]; b need not be monic."""
-    a = _poly_trim([x % p for x in a])
-    b = _poly_trim([x % p for x in b])
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    inv_lead = pow(b[-1], -1, p)
-    q = [0] * max(len(a) - len(b) + 1, 0)
-    r = list(a)
-    while len(r) >= len(b):
-        coeff = (r[-1] * inv_lead) % p
-        shift = len(r) - len(b)
-        q[shift] = coeff
-        for i, bi in enumerate(b):
-            r[shift + i] = (r[shift + i] - coeff * bi) % p
-        r = _poly_trim(r)
-        if not r:
-            break
-    return _poly_trim(q), _poly_trim(r)
-
-
-def _poly_invert_fp(a: Sequence[int], h: Sequence[int], p: int) -> List[int]:
-    """Inverse of a modulo (h, p) by extended Euclid in F_p[x]."""
-    r0, r1 = _poly_trim([x % p for x in h]), _poly_trim([x % p for x in a])
-    s0: List[int] = []
-    s1: List[int] = [1]
-    while r1:
-        q, r = _poly_divmod_fp(r0, r1, p)
-        r0, r1 = r1, r
-        qs1 = _poly_mul(q, s1, p)
-        new_s = [0] * max(len(s0), len(qs1))
-        for i, v in enumerate(s0):
-            new_s[i] = v
-        for i, v in enumerate(qs1):
-            new_s[i] = (new_s[i] - v) % p
-        s0, s1 = s1, _poly_trim(new_s)
-    if len(r0) != 1:
-        raise NotAUnit("element not invertible modulo p")
-    c = pow(r0[0], -1, p)
-    return _poly_trim([(c * x) % p for x in s0])
-
-
 # ---------------------------------------------------------------------------
 # Galois rings
 # ---------------------------------------------------------------------------
@@ -265,18 +223,13 @@ def is_unit(x: RingElement) -> bool:
 
 
 def inverse(x: RingElement) -> RingElement:
-    """Two-sided inverse of a unit, by mod-p inversion plus Newton lifting."""
+    """Two-sided inverse of a unit: x^(|R^x| - 1), where the unit group has
+    order |R^x| = p^(n(r-1)) (p^n - 1)."""
     ring = x.ring
     if not is_unit(x):
         raise NotAUnit("element lies in pR")
-    y0 = _poly_invert_fp(x.coeffs, ring.h, ring.p)
-    y = ring.element(y0)
-    # y -> y(2 - xy) squares the precision in p each step.
-    steps = max(1, (ring.r - 1).bit_length())
-    two = ring.element([2])
-    for _ in range(steps):
-        y = ring_mul(y, two - ring_mul(x, y))
-    return y
+    p, r, n = ring.p, ring.r, ring.n
+    return ring_pow(x, p ** (n * (r - 1)) * (p ** n - 1) - 1)
 
 
 def frobenius(x: RingElement) -> RingElement:
@@ -341,7 +294,7 @@ def _smallest_irreducible(p: int, n: int) -> List[int]:
     divisors = [_monic(idx, p, d) for d in range(1, n // 2 + 1) for idx in range(p ** d)]
     for idx in range(p ** n):
         poly = _monic(idx, p, n)
-        if all(_poly_divmod_fp(poly, f, p)[1] for f in divisors):
+        if all(_poly_rem(poly, f, p) for f in divisors):
             return poly
     raise ArithmeticError("no irreducible polynomial found")
 

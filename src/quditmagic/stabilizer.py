@@ -26,11 +26,11 @@ commutation verdict, order, key, Howell form) and integer dot products with
 the generators' phases.  All three keep the phase-free part in small
 fixed-size LRU memos keyed on (q, exponent rows[, region]) with tuple
 values, so the many groups that share a lattice and differ only in phases
-(all phase assignments of one lattice, the repeated braiding queries on one
-toric ground group) factorize it once; the commutation and phase checks
-still run on every call.  independent_generators memos its
-decomposition, and sps_vector the combinations whose products are
-diagonal, the same way.
+(all phase assignments of one lattice, the re-phasings extreme_points
+tries, the repeated braiding queries on one toric ground group) factorize it
+once; the commutation and phase checks still run on every call.
+independent_generators memos its decomposition, and sps_vector the
+combinations whose products are diagonal, the same way.
 
 Every product of generators goes through product_label, which evaluates
 prod_j g_j^{x_j} in closed form on plain integer lists (see its docstring)
@@ -580,61 +580,26 @@ def extreme_points(
             l_gens.append(elem)
             cur_rows, cur_key = trial, key
 
-    # Characters of S_r trivial on S_loc, evaluated through an independent
-    # generating set; each one re-phases the free generators.
-    ind = independent_generators(S_r)
-    h_gens = [g for g, _ in ind]
-    h_orders = [d for _, d in ind]
+    # Consistent re-phasings of the free generators are the characters of S_r/S_loc.
     q = S_r.q
-
-    def coords(P: PauliLabel) -> List[int]:
-        if not h_gens:
-            return []
-        x = linalg.solve_left_mod(
-            [pauli.symplectic_vector(g) for g in h_gens],
-            pauli.symplectic_vector(P),
-            q,
-        )
-        if x is None:
-            raise AssertionError("element outside its own group")
-        return x
-
-    loc_coords = [coords(g) for g in S_loc.gens]
-    l_coords = [coords(g) for g in l_gens]
-    l_orders = [pauli.order(g) for g in l_gens]
-
+    orders = [pauli.order(g) for g in l_gens]
     points = []
-    for t in itertools.product(*(range(d) for d in h_orders)):
-        # character chi(h_j) = zeta_{d_j}^{t_j}; require chi = 1 on S_loc
-        def chi_exp(x: List[int]) -> int:
-            return sum(tj * (2 * q // dj) * xj for tj, dj, xj in zip(t, h_orders, x)) % (2 * q)
-
-        if any(chi_exp(x) != 0 for x in loc_coords):
-            continue
-        u = []
-        twisted_l = []
-        for g, x, dg in zip(l_gens, l_coords, l_orders):
-            e = chi_exp(x)
-            # chi(g) = zeta_{dg}^{u(g)} is a dg-th root by construction
-            step = 2 * q // dg
-            if e % step != 0:
-                raise AssertionError("character value not a root of the generator order")
-            ug = (e // step) % dg
-            u.append(ug)
-            twisted_l.append(pauli.phase_shifted(g, (2 * q // dg) * ug))
+    for u in itertools.product(*map(range, orders)):
+        twisted_l = [pauli.phase_shifted(g, 2 * q // d * x) for g, d, x in zip(l_gens, orders, u)]
         gens = list(S_loc.gens) + twisted_l
-        group = validate(gens) if gens else trivial_group(q, S_r.n)
+        try:
+            group = validate(gens) if gens else trivial_group(q, S_r.n)
+        except InconsistentPhase:
+            continue
         restricted = restrict(group, omega)
         l_restricted = restrict(validate(twisted_l), omega).gens if twisted_l else ()
         points.append(
             ExtremePoint(
                 state=StabilizerProjectionState(restricted),
                 l_gens=tuple(l_restricted),
-                assignment=tuple(u),
+                assignment=u,
             )
         )
-    # sort by assignment for a deterministic output ordering
-    points.sort(key=lambda pt: pt.assignment)
     return points
 
 

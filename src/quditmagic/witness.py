@@ -15,6 +15,7 @@ import numpy as np
 
 from . import dense
 from .config import DEFAULT_CONFIG, RunConfig, log_value
+from .magic import fsm_upper_from_distance
 from .ring import factorize
 
 VERDICT_FIRES = "fires"
@@ -204,8 +205,6 @@ def logn_lrm_assemble(profile: DecayProfile,
     delta2 = 1.0 - math.exp(-s_bound / 2.0)
     delta1 = 1.0
     for eps, D in certs:
-        if not 0.0 <= eps <= 2.0:
-            raise ValueError("trace-distance bound must lie in [0, 2]")
-        delta1 *= math.sqrt(1.0 - eps * eps / (4.0 * D * D))
+        delta1 *= fsm_upper_from_distance(eps, D)
     combined = fidelity_triangle(delta1, delta2)
     return -log_value(combined * combined, config)

@@ -339,6 +339,21 @@ def test_witness_assemble(capsys, tmp_path):
     assert abs(body["bound"] - 0.22529601341836394) < 1e-12
 
 
+@pytest.mark.parametrize("D", [0, 1])
+def test_witness_assemble_rejects_small_patch_dimension(capsys, tmp_path, D):
+    prof = tmp_path / "profile.json"
+    prof.write_text(json.dumps(
+        {"K": 1.0, "xi": 1.0, "m": 10, "r0": 2.0, "c1": 3.0, "n": 1024}
+    ))
+    certs = tmp_path / "certs.json"
+    certs.write_text(json.dumps([[0.5, D]]))
+    code, out, err = run_cli(
+        capsys,
+        ["witness", "assemble", "--profile", str(prof), "--certs", str(certs)],
+    )
+    assert code == cli.EXIT_DATA, err
+
+
 def test_witness_assemble_bad_json(capsys, tmp_path):
     prof = tmp_path / "profile.json"
     prof.write_text("{not json")

@@ -368,6 +368,9 @@ def test_extensive_rel_entropy_bound():
     assert abs(val - expected) < 1e-12
     with pytest.raises(ValueError):
         magic.extensive_rel_entropy_bound([(3.0, 2)])
+    for D in (0, 1):
+        with pytest.raises(ValueError, match="patch dimension"):
+            magic.extensive_rel_entropy_bound([(0.5, D)])
 
 
 def test_low_energy_lr_witness():
@@ -392,3 +395,24 @@ def test_magic_report_selection(dic12):
     # mixed input: lf, smax and lgr are skipped
     rep2 = magic.magic_report(np.eye(2) / 2, dic12, measures=("lf", "smax", "lgr"))
     assert rep2.lf is None and rep2.s_max_set is None and rep2.lgr is None
+
+
+def test_rel_entropy_step_probes_each_point_once(monkeypatch):
+    # brentq evaluates the bracket ends itself; slope(t_max) from the
+    # pre-check must not be recomputed
+    rho = dense.density_of(t_state())
+    sigma = np.eye(2, dtype=complex) / 2
+    phi = np.array([1.0, 0.0], dtype=complex)
+    probes = []
+    gradient = magic._gradient
+
+    def counting(r, s):
+        probes.append(s.tobytes())
+        return gradient(r, s)
+
+    monkeypatch.setattr(magic, "_gradient", counting)
+    t = magic._rel_entropy_step(rho, sigma, phi, True, 0.9)
+    # sigma + t|0><0| - t sigma has diagonal (1 + t, 1 - t)/2, which matches
+    # rho's diagonal (1 + cos(pi/4), 1 - cos(pi/4))/2 at the minimum
+    assert abs(t - math.cos(math.pi / 4)) < 1e-12
+    assert len(probes) == len(set(probes))

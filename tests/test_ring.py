@@ -73,6 +73,8 @@ PINNED_H = {
     (11, 2, 2): (1, 0, 1),
     (13, 3, 2): (418, 0, 1),
     (3, 4, 1): (80, 1),
+    # from the trial-division and one-power-of-p-lift construction
+    (2, 2, 4): (1, 3, 2, 0, 1),
 }
 
 
@@ -119,7 +121,7 @@ def test_ring_axioms_exhaustive(p, r, n):
                 assert (x * y) * z == x * (y * z)
 
 
-@pytest.mark.parametrize("p,r,n", SMALL_RINGS)
+@pytest.mark.parametrize("p,r,n", SMALL_RINGS + [(2, 3, 3), (2, 2, 4)])
 def test_units_and_inverses(p, r, n):
     R = ring.construct_galois_ring(p, r, n)
     unit_count = 0

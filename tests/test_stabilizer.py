@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 
 import numpy as np
 import pytest
@@ -468,6 +469,97 @@ def test_extreme_points_trivial_region():
     pts = stabilizer.extreme_points(ref, [0], [[0]])
     assert len(pts) == 1
     assert pts[0].assignment == ()
+
+
+def _character_extreme_points(reference, omega, balls):
+    """extreme_points by explicit characters: every character of S_r that is
+    trivial on S_loc, read off an independent generating set of S_r, fixes
+    the phases of the free generators."""
+    S_ref = reference.group
+    omega = sorted(omega)
+    S_r = stabilizer.supported_subgroup(S_ref, omega)
+    S_loc = stabilizer.locally_generated(S_ref, [sorted(b) for b in balls])
+    q, n = S_r.q, S_r.n
+    cur_rows = [pauli.symplectic_vector(g) for g in S_loc.gens]
+    cur_key = S_loc.key
+    l_gens = []
+    for elem in sorted(stabilizer.elements(S_r), key=pauli.label_sort_key):
+        if cur_key == S_r.key:
+            break
+        if not any(elem.a) and not any(elem.b):
+            continue
+        trial = cur_rows + [pauli.symplectic_vector(elem)]
+        key = linalg.lattice_key(trial, q, 2 * n)
+        if key != cur_key:
+            l_gens.append(elem)
+            cur_rows, cur_key = trial, key
+    ind = stabilizer.independent_generators(S_r)
+    h_rows = [pauli.symplectic_vector(g) for g, _ in ind]
+    h_orders = [d for _, d in ind]
+
+    def coords(P):
+        return linalg.solve_left_mod(h_rows, pauli.symplectic_vector(P), q) if h_rows else []
+
+    loc_coords = [coords(g) for g in S_loc.gens]
+    l_coords = [coords(g) for g in l_gens]
+    points = []
+    for t in itertools.product(*(range(d) for d in h_orders)):
+        def chi_exp(x):
+            return sum(tj * (2 * q // dj) * xj for tj, dj, xj in zip(t, h_orders, x)) % (2 * q)
+
+        if any(chi_exp(x) for x in loc_coords):
+            continue
+        u, twisted = [], []
+        for g, x in zip(l_gens, l_coords):
+            step = 2 * q // pauli.order(g)
+            e = chi_exp(x)
+            assert e % step == 0
+            u.append(e // step)
+            twisted.append(pauli.phase_shifted(g, e))
+        gens = list(S_loc.gens) + twisted
+        group = stabilizer.validate(gens) if gens else stabilizer.trivial_group(q, n)
+        l_restricted = ()
+        if twisted:
+            l_restricted = stabilizer.restrict(stabilizer.validate(twisted), omega).gens
+        points.append((stabilizer.restrict(group, omega), l_restricted, tuple(u)))
+    points.sort(key=lambda pt: pt[2])
+    return points
+
+
+def _random_group(rng, n, q):
+    """Random commuting generators, each with a random consistent phase."""
+    gens = []
+    for _ in range(rng.randint(1, 2 * n)):
+        a = [rng.randrange(q) for _ in range(n)]
+        b = [rng.randrange(q) for _ in range(n)]
+        phases = list(range(2 * q))
+        rng.shuffle(phases)
+        for c in phases:
+            try:
+                stabilizer.validate(gens + [lbl(q, n, a, b, c)])
+            except (stabilizer.InconsistentPhase, stabilizer.NonCommutingPair):
+                continue
+            gens.append(lbl(q, n, a, b, c))
+            break
+    return stabilizer.validate(gens) if gens else stabilizer.trivial_group(q, n)
+
+
+def test_extreme_points_match_explicit_characters():
+    # re-phasings that pass validate are exactly the characters of S_r / S_loc
+    several = rejected = 0
+    for seed, (n, q) in enumerate([(3, 2), (2, 3), (2, 4), (3, 3), (2, 6)]):
+        rng = random.Random(seed)
+        for _ in range(100):
+            ref = stabilizer.StabilizerProjectionState(_random_group(rng, n, q))
+            omega = sorted(rng.sample(range(n), rng.randint(1, n)))
+            balls = [sorted(rng.sample(omega, rng.randint(1, len(omega))))
+                     for _ in range(rng.randint(0, 2))]
+            pts = stabilizer.extreme_points(ref, omega, balls)
+            got = [(pt.state.group, pt.l_gens, pt.assignment) for pt in pts]
+            assert got == _character_extreme_points(ref, omega, balls)
+            several += len(pts) > 1
+            rejected += len(pts) < math.prod(pauli.order(g) for g in pts[0].l_gens)
+    assert several and rejected
 
 
 def test_tableau_text_round_trip():

@@ -211,3 +211,6 @@ def test_assemble_monotonicity():
 def test_assemble_rejects_bad_cert():
     with pytest.raises(ValueError):
         witness.logn_lrm_assemble(toy_profile(), [(3.0, 2)])
+    for D in (0, 1):
+        with pytest.raises(ValueError, match="patch dimension"):
+            witness.logn_lrm_assemble(toy_profile(), [(0.5, D)])
