@@ -8,11 +8,14 @@ some products (e.g. (ZX)^q = -I) pick up half-integer omega powers, and a
 
 The composition phase rule below follows from X^b Z^a = omega^{-ab} Z^a X^b
 and is locked in by a dense-oracle test.
+
+Labels are immutable named tuples (q, n, a, b, c), hashed as that field
+tuple, so they are cheap to build and sets of labels iterate in the same
+order as sets of their field tuples.
 """
 
 import math
-from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -23,8 +26,7 @@ class ShapeMismatch(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class PauliLabel:
+class PauliLabel(NamedTuple):
     q: int
     n: int
     a: Tuple[int, ...]  # Z exponents

@@ -32,6 +32,19 @@ once; the commutation and phase checks still run on every call.
 independent_generators memos its decomposition, and sps_vector the
 combinations whose products are diagonal, the same way.
 
+supported_subgroup goes one step further and memos a phase map: its
+generators are products h_j = prod_i g_i^{x_ji} with phases
+base_j + x_j.c, so each relation rel among the h_j, whose own base phase is
+b_rel, holds exactly when
+
+    r0 + R.c = 0  (mod 2q),   R = sum_j rel_j x_j,   r0 = b_rel + sum_j rel_j base_j,
+
+a test on S's own phases c.  A call then checks these congruences, builds
+the generators and returns the group; relations with R = r0 = 0 hold for
+every c and are not stored.  The enumeration builds, per lattice, the d
+phase-shifted labels of each independent generator of order d once, and
+every group of the lattice takes its generators from those lists.
+
 Every product of generators goes through product_label, which evaluates
 prod_j g_j^{x_j} in closed form on plain integer lists (see its docstring)
 and builds a single PauliLabel for the result instead of one per factor.
@@ -39,9 +52,9 @@ and builds a single PauliLabel for the result instead of one per factor.
 
 import functools
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from operator import mul
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -69,8 +82,7 @@ MEMBER_UP_TO_PHASE = "yes-up-to-phase"
 MEMBER_NO = "no"
 
 
-@dataclass(frozen=True)
-class StabilizerGroup:
+class StabilizerGroup(NamedTuple):
     q: int
     n: int
     gens: Tuple[PauliLabel, ...]
@@ -107,38 +119,49 @@ def product_label(gens: Sequence[PauliLabel], coeffs: Sequence[int]) -> PauliLab
 
 
 def _rows_key(gens: Sequence[PauliLabel]) -> Tuple[Tuple[int, ...], ...]:
-    return tuple(g.a + g.b for g in gens)
+    return tuple([g.a + g.b for g in gens])
+
+
+def _zero_labels(q: int, n: int, rows: Sequence[Sequence[int]]) -> List[PauliLabel]:
+    """Labels with these exponent rows and phase 0, whose products give the
+    base phases.  The rows are not reduced: product_label's result depends
+    on a and b only mod q."""
+    return [PauliLabel(q, n, tuple(r[:n]), tuple(r[n:]), 0) for r in rows]
 
 
 @functools.lru_cache(maxsize=64)
 def _lattice_data(q: int, n: int, rows: Tuple[Tuple[int, ...], ...]) -> Tuple:
     """Phase-free part of validate for generators with these exponent rows:
-    (first non-commuting pair or None, relations with their base phases,
-    order, key)."""
+    (first non-commuting pair or None, relations as (rel, rel, base phase),
+    order, key), in the relation format of _checked_group."""
     for i in range(len(rows)):
         for j in range(i + 1, len(rows)):
             if _symplectic_product(rows[i], rows[j], n, q) != 0:
                 return (i, j), (), 0, ()
     key, order, kernel = linalg.lattice_data(rows, q, 2 * n)
-    zero = [pauli.label(q, n, r[:n], r[n:], 0) for r in rows]
-    relations = tuple((tuple(rel), product_label(zero, rel).c) for rel in kernel)
+    zero = _zero_labels(q, n, rows)
+    relations = tuple((rel, rel, product_label(zero, rel).c) for rel in map(tuple, kernel))
     return None, relations, order, key
 
 
-def _checked_group(q: int, n: int, gens: Tuple[PauliLabel, ...], data: Tuple) -> StabilizerGroup:
-    """The group of gens, after the commutation and phase checks of validate;
-    data is _lattice_data of their rows."""
+def _checked_group(
+    q: int, n: int, gens: Tuple[PauliLabel, ...], data: Tuple, phases: Sequence[int]
+) -> StabilizerGroup:
+    """The group of gens, after the commutation and phase checks of validate.
+
+    data is (first non-commuting pair or None, relations, order, key), each
+    relation rel among gens given as (rel, R, r0): the product prod_j g_j^rel_j
+    has phase r0 + R.phases (mod 2q) and must be the identity."""
     pair, relations, order, key = data
     if pair is not None:
         raise NonCommutingPair(*pair)
-    phases = [g.c for g in gens]
-    for rel, base in relations:
-        c = (base + sum(x * p for x, p in zip(rel, phases))) % (2 * q)
+    for rel, R, r0 in relations:
+        c = (r0 + sum(map(mul, R, phases))) % (2 * q)
         if c != 0:
             raise InconsistentPhase(
                 "relation %r yields a nontrivial phase omega_{2q}^%d" % (list(rel), c)
             )
-    return StabilizerGroup(q=q, n=n, gens=gens, order=order, key=key)
+    return StabilizerGroup(q, n, gens, order, key)
 
 
 def validate(tableau: Sequence[PauliLabel]) -> StabilizerGroup:
@@ -150,7 +173,8 @@ def validate(tableau: Sequence[PauliLabel]) -> StabilizerGroup:
         if g.q != q or g.n != n:
             raise pauli.ShapeMismatch("mixed (n, q) in tableau")
     gens = tuple(tableau)
-    return _checked_group(q, n, gens, _lattice_data(q, n, _rows_key(gens)))
+    data = _lattice_data(q, n, _rows_key(gens))
+    return _checked_group(q, n, gens, data, [g.c for g in gens])
 
 
 def trivial_group(q: int, n: int) -> StabilizerGroup:
@@ -224,13 +248,18 @@ def expectation_exponent(S: StabilizerGroup, P: PauliLabel) -> Optional[int]:
     return (P.c - s.c) % (2 * S.q)
 
 
-def _outside_columns(n: int, region: Sequence[int]) -> List[int]:
+def _check_sites(n: int, region: Sequence[int]) -> None:
+    for site in region:
+        if not 0 <= site < n:
+            raise ValueError("site %r is outside the register 0..%d" % (site, n - 1))
+
+
+@functools.lru_cache(maxsize=16)
+def _outside_columns(n: int, region: Tuple[int, ...]) -> Tuple[int, ...]:
+    """The exponent columns (i and n + i) of the sites outside region."""
+    _check_sites(n, region)
     inside = set(region)
-    cols = []
-    for i in range(n):
-        if i not in inside:
-            cols.extend([i, n + i])
-    return cols
+    return tuple(c for i in range(n) if i not in inside for c in (i, n + i))
 
 
 @functools.lru_cache(maxsize=64)
@@ -239,39 +268,51 @@ def _supported_data(
 ) -> Tuple:
     """Phase-free part of supported_subgroup for generators with these rows
     and the given outside columns: the kernel combinations x whose product
-    has a nonzero symplectic part, as (x, a, b, base phase), and the
-    _lattice_data of those products."""
+    has a nonzero symplectic part, as (x, a, b, base) with the product's
+    phase base + x.c for generator phases c, and the _lattice_data of those
+    products with each relation rel mapped onto the generators' phases:
+    R = sum_j rel_j x_j and r0 = rel's base + sum_j rel_j base_j (mod 2q).
+    Relations with R = r0 = 0 hold for every c and are dropped."""
     if cols:
         kernel = linalg.left_kernel_mod([[row[c] for c in cols] for row in rows], q)
     else:
         kernel = linalg.identity_matrix(len(rows))
-    zero = [pauli.label(q, n, r[:n], r[n:], 0) for r in rows]
+    zero = _zero_labels(q, n, rows)
     combos = []
     for x in kernel:
+        if not any(v % q for v in x):
+            continue  # a q*e_i row: the product is a phase times the identity
         g = product_label(zero, x)
         if any(g.a) or any(g.b):
             combos.append((tuple(x), g.a, g.b, g.c))
     if not combos:
         return (), None
-    return tuple(combos), _lattice_data(q, n, tuple(a + b for _, a, b, _ in combos))
+    q2 = 2 * q
+    pair, relations, order, key = _lattice_data(q, n, tuple(a + b for _, a, b, _ in combos))
+    xcols = list(zip(*(x for x, _, _, _ in combos)))
+    bases = [b0 for _, _, _, b0 in combos]
+    mapped = []
+    for rel, _, base in relations:
+        R = tuple(sum(map(mul, rel, col)) % q2 for col in xcols)
+        r0 = (base + sum(map(mul, rel, bases))) % q2
+        if any(R) or r0:
+            mapped.append((rel, R, r0))
+    return tuple(combos), (pair, tuple(mapped), order, key)
 
 
 def supported_subgroup(S: StabilizerGroup, region: Sequence[int]) -> StabilizerGroup:
     """Subgroup of elements whose symplectic vector vanishes outside region."""
-    if not S.gens:
-        return trivial_group(S.q, S.n)
     q, n = S.q, S.n
-    combos, data = _supported_data(
-        q, n, _rows_key(S.gens), tuple(_outside_columns(n, region))
-    )
+    cols = _outside_columns(n, tuple(region))
+    if not S.gens:
+        return trivial_group(q, n)
+    combos, data = _supported_data(q, n, _rows_key(S.gens), cols)
     if not combos:
         return trivial_group(q, n)
     phases = [g.c for g in S.gens]
-    gens = tuple(
-        PauliLabel(q, n, a, b, (base + sum(xi * c for xi, c in zip(x, phases))) % (2 * q))
-        for x, a, b, base in combos
-    )
-    return _checked_group(q, n, gens, data)
+    gens = tuple([PauliLabel(q, n, a, b, (base + sum(map(mul, x, phases))) % (2 * q))
+                  for x, a, b, base in combos])
+    return _checked_group(q, n, gens, data, phases)
 
 
 def locally_generated(S: StabilizerGroup, balls: Sequence[Sequence[int]]) -> StabilizerGroup:
@@ -286,6 +327,7 @@ def locally_generated(S: StabilizerGroup, balls: Sequence[Sequence[int]]) -> Sta
 
 def commutant_on_region(S: StabilizerGroup, region: Sequence[int]) -> List[PauliLabel]:
     """Generators of the Paulis supported on region commuting with all of S."""
+    _check_sites(S.n, region)
     region = sorted(region)
     m = len(region)
     q = S.q
@@ -310,6 +352,7 @@ def restrict(S: StabilizerGroup, region: Sequence[int]) -> StabilizerGroup:
 
     Sites are taken in ascending order of their original indices.
     """
+    _check_sites(S.n, region)
     region = sorted(region)
     pos = {site: k for k, site in enumerate(region)}
     m = len(region)
@@ -329,8 +372,7 @@ def restrict(S: StabilizerGroup, region: Sequence[int]) -> StabilizerGroup:
     return validate(gens)
 
 
-@dataclass(frozen=True)
-class StabilizerProjectionState:
+class StabilizerProjectionState(NamedTuple):
     """The state proportional to prod_{g in G(S)} P(g)."""
 
     group: StabilizerGroup
@@ -388,7 +430,7 @@ def conjugated(S: StabilizerGroup, U: PauliLabel) -> StabilizerGroup:
     """The group U S U^dagger.  U g U^dagger = omega^{r(U, g)} g, so each
     generator's phase exponent shifts by 2 r(U, g); rows, order and key stay."""
     gens = tuple(pauli.phase_shifted(g, 2 * pauli.commutation_exponent(U, g)) for g in S.gens)
-    return replace(S, gens=gens)
+    return S._replace(gens=gens)
 
 
 # ---------------------------------------------------------------------------
@@ -472,9 +514,8 @@ def isotropic_lattices(q: int, n: int) -> Iterator[Tuple[Tuple[int, ...], ...]]:
 
 def _consistent_base_phase(g: PauliLabel, delta: int) -> PauliLabel:
     """Adjust the phase of g so that g^delta is exactly the identity."""
-    ab = sum(x * y for x, y in zip(g.a, g.b))
-    c0 = (ab * (delta - 1)) % (2 * g.q)
-    return pauli.label(g.q, g.n, g.a, g.b, c0)
+    ab = sum(map(mul, g.a, g.b))
+    return g._replace(c=ab * (delta - 1) % (2 * g.q))
 
 
 def enumerate_stabilizer_groups(
@@ -484,37 +525,30 @@ def enumerate_stabilizer_groups(
     config: RunConfig = DEFAULT_CONFIG,
 ) -> Iterator[StabilizerGroup]:
     """All stabilizer groups on (n, q): every isotropic subgroup of Z_q^{2n}
-    with every consistent phase assignment, each exactly once."""
+    with every consistent phase assignment, each exactly once.
+
+    The groups of one lattice differ only in their phases: each independent
+    generator g of order d gets its d phase-shifted labels once, and the
+    product over those lists gives every group's generators directly."""
     target = q ** n if pure_only else None
     count = 0
     for form in isotropic_lattices(q, n):
         order = linalg.form_order(form, q)
         if target is not None and order != target:
             continue
-        base = [pauli.label(q, n, r[:n], r[n:], 0) for r in form]
+        base = _zero_labels(q, n, form)
         C, orders = _decomposition(q, form)
-        ind = []
+        shifted = []
         for crow, d in zip(C, orders):
             if d == 1:
                 continue
-            g = product_label(base, crow)
-            ind.append((_consistent_base_phase(g, d), d))
-        deltas = [d for _, d in ind]
-        for shifts in itertools.product(*(range(d) for d in deltas)):
-            gens = [
-                pauli.phase_shifted(g, (2 * q // d) * t)
-                for (g, d), t in zip(ind, shifts)
-            ]
+            g = _consistent_base_phase(product_label(base, crow), d)
+            shifted.append([pauli.phase_shifted(g, (2 * q // d) * t) for t in range(d)])
+        for gens in itertools.product(*shifted):
             count += 1
             if count > config.enum_limit:
                 raise BudgetExceeded("enumeration budget exceeded")
-            yield StabilizerGroup(
-                q=q,
-                n=n,
-                gens=tuple(gens),
-                order=order,
-                key=form,
-            )
+            yield StabilizerGroup(q, n, gens, order, form)
 
 
 def enumerate_pure_stabilizer_states(

@@ -163,3 +163,15 @@ def test_symplectic_vector_and_sort_key():
     P = pauli.label(4, 2, [1, 2], [3, 0], 5)
     assert pauli.symplectic_vector(P) == [1, 2, 3, 0]
     assert pauli.label_sort_key(P) == ((1, 2), (3, 0), 5)
+
+
+@settings(max_examples=40, deadline=None)
+@given(label_strategy)
+def test_label_is_immutable_and_hashed_as_its_fields(t):
+    # sets of labels iterate in the order of sets of their field tuples
+    P = mk(t)
+    assert hash(P) == hash((P.q, P.n, P.a, P.b, P.c))
+    for field in ("q", "n", "a", "b", "c"):
+        with pytest.raises(AttributeError):
+            setattr(P, field, 0)
+    assert mk(t) == P

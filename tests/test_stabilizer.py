@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import random
@@ -348,6 +349,60 @@ def test_equal_rows_keep_their_own_phases():
             assert stabilizer.expectation_exponent(S, pauli.compose(Z0, Z1)) == c
 
 
+def _products_supported_subgroup(S, region):
+    """supported_subgroup built from the generators themselves: the kernel
+    combinations of the outside columns, their products by product_label
+    with S's phases, and validate on those products."""
+    q, n = S.q, S.n
+    cols = [c for i in range(n) if i not in region for c in (i, n + i)]
+    rows = [g.a + g.b for g in S.gens]
+    if cols:
+        kernel = linalg.left_kernel_mod([[r[c] for c in cols] for r in rows], q)
+    else:
+        kernel = linalg.identity_matrix(len(rows))
+    gens = [stabilizer.product_label(S.gens, x) for x in kernel]
+    gens = [g for g in gens if any(g.a) or any(g.b)]
+    return stabilizer.validate(gens) if gens else stabilizer.trivial_group(q, n)
+
+
+def _outcome(f, S, region):
+    try:
+        G = f(S, region)
+    except ValueError as exc:
+        return type(exc)
+    return G.gens, G.order, G.key
+
+
+@pytest.mark.parametrize(
+    "q,rows",
+    [
+        (4, [((1, 1), (0, 0)), ((0, 0), (2, 2)), ((2, 0), (0, 0))]),  # Z0Z1, X0^2X1^2, Z0^2
+        (6, [((1, 1), (0, 0)), ((0, 0), (3, 3)), ((2, 0), (0, 0))]),  # Z0Z1, X0^3X1^3, Z0^2
+        (4, [((1, 1), (0, 0)), ((2, 2), (0, 0)), ((0, 0), (2, 2))]),  # dependent: Z0Z1, its square
+        (6, [((1, 0), (0, 0)), ((2, 3), (0, 0)), ((0, 3), (0, 0))]),  # dependent: Z0, Z0^2Z1^3, Z1^3
+        # dependent, with nonzero base phases: Z0X0, Z1X1, Z0^2X0^2Z1^2X1^2
+        (4, [((1, 0), (1, 0)), ((0, 1), (0, 1)), ((2, 2), (2, 2))]),
+    ],
+)
+def test_supported_phase_map_matches_products(q, rows):
+    # every phase vector in Z_{2q}^k, consistent or not, on every region:
+    # the phase map gives the same generators, or raises the same exception,
+    # as building the products with their phases and validating them
+    n = 2
+    regions = [[], [0], [1], [0, 1]]
+    verdicts = {tuple(r): set() for r in regions}
+    for phases in itertools.product(range(2 * q), repeat=len(rows)):
+        gens = tuple(lbl(q, n, a, b, c) for (a, b), c in zip(rows, phases))
+        S = stabilizer.StabilizerGroup(q, n, gens, 0, ())
+        for region in regions:
+            got = _outcome(stabilizer.supported_subgroup, S, region)
+            assert got == _outcome(_products_supported_subgroup, S, region)
+            verdicts[tuple(region)].add(got is stabilizer.InconsistentPhase)
+    # a relation with R = 0 gives one verdict for every phase vector, so a
+    # region with both verdicts rejects some vectors through a nonzero R
+    assert any(v == {True, False} for v in verdicts.values())
+
+
 @pytest.mark.parametrize("q,n", [(2, 1), (3, 2), (6, 2), (4, 3)])
 def test_trivial_group_key(q, n):
     T = stabilizer.trivial_group(q, n)
@@ -374,6 +429,67 @@ def test_restrict_relabels():
     assert R.n == 2 and R.order == 4
     with pytest.raises(ValueError):
         stabilizer.restrict(S, [0, 1])
+
+
+def test_sites_outside_the_register_are_rejected():
+    S = stabilizer.validate([lbl(2, 2, [1, 0], [0, 0]), lbl(2, 2, [0, 1], [0, 0])])
+    for region in ([5], [-1], [0, 2]):
+        with pytest.raises(ValueError, match=str(region[-1])):
+            stabilizer.supported_subgroup(S, region)
+    with pytest.raises(ValueError, match="-1"):
+        stabilizer.supported_subgroup(stabilizer.trivial_group(2, 2), [-1])
+
+
+def test_locally_generated_rejects_sites_outside_the_register():
+    S = stabilizer.validate([lbl(2, 2, [1, 0], [0, 0]), lbl(2, 2, [0, 1], [0, 0])])
+    with pytest.raises(ValueError, match="7"):
+        stabilizer.locally_generated(S, [[0], [7]])
+
+
+def test_restrict_rejects_sites_outside_the_register():
+    S = stabilizer.validate([lbl(2, 2, [1, 0], [0, 0]), lbl(2, 2, [0, 1], [0, 0])])
+    with pytest.raises(ValueError, match="5"):
+        stabilizer.restrict(S, [0, 1, 5])
+
+
+def test_commutant_rejects_sites_outside_the_register():
+    S = stabilizer.validate([lbl(2, 2, [1, 0], [0, 0]), lbl(2, 2, [0, 1], [0, 0])])
+    with pytest.raises(ValueError, match="5"):
+        stabilizer.commutant_on_region(S, [5])
+
+
+# sha256 over repr((gens as (a, b, c), order, key)) of every enumerated group
+# and of its supported subgroups on [0], [1] and [0, 1], in enumeration order
+_ENUMERATION_SHA256 = {
+    (2, 2): "dfd6f7b74220f681304971e695ebc8d22fbf971bf062c0e4faeccac6b73a107c",
+    (2, 3): "40a2a33ef289ed117809e035f2cab2ca845e766277aa5714e371b24a40abe728",
+    (2, 4): "ec1ceb1b94aca078e80b14fe8de224790fcb66aa5ff30bb382cae0f993e42dc9",
+    (3, 2): "650e3a4424becbb70385995ef448d219f67baea2b9c1a464fb1af052e2f7add9",
+}
+
+
+@pytest.mark.parametrize("n,q", sorted(_ENUMERATION_SHA256))
+def test_enumeration_and_supported_subgroups_pinned(n, q):
+    h = hashlib.sha256()
+    for S in stabilizer.enumerate_stabilizer_groups(n, q):
+        for G in [S] + [stabilizer.supported_subgroup(S, r) for r in ([0], [1], [0, 1])]:
+            h.update(repr((tuple((g.a, g.b, g.c) for g in G.gens), G.order, G.key)).encode())
+    assert h.hexdigest() == _ENUMERATION_SHA256[n, q]
+
+
+def test_groups_are_immutable_and_conjugated_keeps_key_and_order():
+    U = lbl(3, 2, [1, 2], [0, 1])
+    for S in itertools.islice(stabilizer.enumerate_stabilizer_groups(2, 3), 0, None, 7):
+        assert hash(S) == hash((S.q, S.n, S.gens, S.order, S.key))
+        with pytest.raises(AttributeError):
+            S.order = 1
+        C = stabilizer.conjugated(S, U)
+        assert (C.q, C.n, C.order, C.key) == (S.q, S.n, S.order, S.key)
+        assert [(g.a, g.b) for g in C.gens] == [(g.a, g.b) for g in S.gens]
+        state = stabilizer.StabilizerProjectionState(S)
+        assert state.rank == 3 ** 2 // S.order
+        with pytest.raises(AttributeError):
+            state.group = C
 
 
 @pytest.mark.parametrize(
