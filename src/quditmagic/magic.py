@@ -8,21 +8,28 @@ Five measures are exposed, forming the chain
 dictionary scan), relative entropy of magic, min log lambda with
 rho <= lambda*sigma over the hull and the generalized robustness
 log(2*lambda-1) at the same optimum (both for pure states), and the
-robustness LP.  S_rel, S_max-to-set and LGR come from one away-step
-Frank-Wolfe engine with a certified gap; each objective supplies its own
-exact line search (a closed form for S_max, a root of the d x d directional
-derivative for S_rel).  Every reported value is feasible;
-its status is "exact" or "upper-estimate" and its gap is the certified width
-of the bracket [value - gap, value].  Also the patch-certificate machinery
-turning trace-distance lower bounds on small patches into global
+robustness LP.  S_rel, S_max-to-set and LGR come from one Frank-Wolfe
+engine over the hull weights: it starts on the computational basis states
+(sigma = I/d), and each iteration prices every dictionary state, takes a
+pairwise step from the worst active state to the best one, and a Newton
+step on the weights of the active states; a run that stalls on a singular
+face is reseeded.  Each objective supplies its scores, its Hessian on the
+active states and its slope and curvature along a direction (closed forms
+after one eigendecomposition for S_max, Daleckii-Krein divided differences
+of log for S_rel), and one exact line search serves both.  The
+Frank-Wolfe gap at the returned weights is the only certificate: every
+reported value is feasible, its status is "exact" or "upper-estimate" and
+its gap is the certified width of the bracket [value - gap, value].  Only
+the LP loads scipy.optimize, on first use.  Also the patch-certificate
+machinery turning trace-distance lower bounds on small patches into global
 fidelity/entropy lower bounds.
 """
 
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
-from typing import Callable, List, Optional, Sequence, Tuple
+from functools import cached_property
+from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -139,7 +146,7 @@ def lr_lp(rho: np.ndarray, dic: StabilizerDictionary,
 
 
 # ---------------------------------------------------------------------------
-# Away-step Frank-Wolfe over the hull
+# Pairwise Frank-Wolfe with active-set Newton steps over the hull
 # ---------------------------------------------------------------------------
 
 def _expectations(dic: StabilizerDictionary, A: np.ndarray) -> np.ndarray:
@@ -147,61 +154,186 @@ def _expectations(dic: StabilizerDictionary, A: np.ndarray) -> np.ndarray:
     return np.real(np.einsum("ki,ik->k", dic.adjoint, A @ dic.matrix))
 
 
-StepLength = Callable[[np.ndarray, np.ndarray, bool, float], Optional[float]]
+EPS = np.finfo(float).eps
+EIG_FLOOR = 1e-12
+# the line search gains digits superlinearly: once a step moves t by less
+# than this fraction, t is settled far below it
+LINE_SEARCH_RTOL = 1e-9
+LINE_SEARCH_PROBES = 200
+# _frank_wolfe reseeds its weights when STALL_ITER iterations lowered the
+# objective by less than STALL_GAIN times the gap, while the gap is still
+# above STALL_GAP times its tolerance; the seed gets RESEED_MIX of the weight
+STALL_ITER = 10
+STALL_GAIN = 1e-3
+STALL_GAP = 1e3
+RESEED_MIX = 0.1
 
 
-def _frank_wolfe(Phi: np.ndarray, scores: Callable[[np.ndarray], np.ndarray],
-                 step_length: StepLength, gap_tol: float, max_iter: int
-                 ) -> Tuple[np.ndarray, np.ndarray, float, int]:
-    """Minimize a convex function of sigma over mixtures of the projectors
-    onto Phi's columns, started at uniform weights (the maximally mixed state
-    for a stabilizer dictionary, so the run does not depend on the frame).
+def _floored_eigh(sigma: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """sigma's eigenvalues, floored at EIG_FLOOR, and its eigenvectors."""
+    ws, vs = np.linalg.eigh(sigma)
+    return np.clip(ws, EIG_FLOOR, None), vs
 
-    scores(sigma)[k] is the derivative of the objective along vertex k's
-    weight.  Away steps (Lacoste-Julien & Jaggi 2015) are used alongside the
-    plain vertex steps, which restores fast convergence when the optimum sits
-    on a face.  Each objective supplies its exact line search:
-    step_length(sigma, phi, toward, t_max) minimizes along
-    sigma + t (phi phi^dag - sigma) (toward) or sigma + t (sigma - phi phi^dag)
-    (away) over t in [0, t_max] from the root of the directional derivative,
-    which stays resolvable long after value differences drown in rounding,
-    and returns None when the step has no descent left.  Returns (weights,
-    sigma, gap, iterations), where gap is the Frank-Wolfe linearization gap at
-    the returned weights, a certified bound on the distance of their
-    objective value to the minimum, and sigma is their mixture.
+
+def _mixture(Phi: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """sum_k weights_k phi_k phi_k^dag over Phi's columns."""
+    return (Phi * weights) @ Phi.conj().T
+
+
+Probe = Callable[[float], Tuple[float, float]]
+
+
+def _line_search(probe: Probe, t_max: float, slope0: float) -> Optional[float]:
+    """Minimizer over [0, t_max] of a convex function f of t, given probe(t) =
+    (f'(t), f''(t)) and the slope at 0 from the caller's scores, which stay
+    accurate where a probe's rounding grows with sigma's condition; the
+    slope stays resolvable long after value differences drown in rounding.
+
+    The first trial point is Newton's step on the slope from 0.  Later ones
+    are secant steps on h = f' / sqrt(f'') through the last two probes: h is
+    linear in t for a quadratic and for a log barrier (-a log|t - t0| plus a
+    linear term), where Newton on the slope only doubles its distance to the
+    barrier per step.  A point outside the bracket of the root is replaced
+    by t_max, if not yet probed, or by bisection.  A probe at a singular
+    point reports an infinite slope, and a slope within its rounding as 0,
+    which ends the search.  None when slope0 is not negative.
     """
-    Phi_H = Phi.conj().T
-    K = Phi.shape[1]
-    weights = np.full(K, 1.0 / K)
+    if not slope0 < 0.0:
+        return None
+    s, c = slope0, probe(0.0)[1]
+    lo, hi, hi_probed = 0.0, t_max, False
+    t, h = 0.0, s / math.sqrt(c) if 0.0 < c < math.inf else math.nan
+    new = t - s / c if 0.0 < c < math.inf else math.inf
+    for _ in range(LINE_SEARCH_PROBES):
+        if not lo < new < hi:
+            if new >= hi and not hi_probed:
+                new = hi
+            else:
+                new = 0.5 * (lo + hi)
+                if not lo < new < hi:   # the bracket is one ulp wide
+                    return lo
+        elif abs(new - t) <= LINE_SEARCH_RTOL * new:
+            return new
+        s, c = probe(new)
+        if s == 0.0 or (s < 0.0 and new == t_max):
+            return new
+        if s < 0.0:
+            lo = new
+        else:
+            hi, hi_probed = new, True
+        h_new = s / math.sqrt(c) if math.isfinite(s) and 0.0 < c < math.inf else math.nan
+        if h_new != h and math.isfinite(h_new - h):
+            t, new = new, new - h_new * (new - t) / (h_new - h)
+        else:
+            t, new = new, math.inf
+        h = h_new
+    return lo
+
+
+def _least_squares_symmetric(A: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The least-squares solution of least norm of A x = b for a real
+    symmetric A, from its eigendecomposition: what lstsq computes from the
+    SVD, with the same cutoff.  The complex eigh is the LAPACK driver that
+    sigma's decompositions already run; lstsq's, or the real eigh's, would
+    add 0.3-0.4 MB of resident code on first use."""
+    w, V = np.linalg.eigh(A.astype(complex))
+    keep = np.abs(w) > EPS * len(w) * np.abs(w).max()
+    return (V[:, keep] @ ((V[:, keep].conj().T @ b) / w[keep])).real
+
+
+_Objective = Union["_Smax", "_RelEntropy"]
+
+
+def _frank_wolfe(Phi: np.ndarray, model: Callable[[np.ndarray], _Objective],
+                 gap_tol: float, max_iter: int) -> Tuple[np.ndarray, _Objective, float, int]:
+    """Minimize a convex function of sigma over mixtures of the projectors
+    onto Phi's columns (the atoms).
+
+    model(sigma) evaluates the objective at sigma (_Smax, _RelEntropy): its
+    value, scores(Phi) (the derivatives along the weights of Phi's columns),
+    hessian(Phi) (the second derivatives in those weights), and along(D), a
+    probe of slope and curvature along sigma + tD that _line_search turns
+    into an exact line search.
+
+    The run starts on the atoms that carry the computational basis states,
+    which for a stabilizer dictionary is the maximally mixed state.  Each
+    iteration prices all atoms, takes a pairwise step that moves weight from
+    the away atom (the worst active one) to the Frank-Wolfe atom (the best
+    one) (Lacoste-Julien & Jaggi 2015), then one Newton step on the
+    active-set weights: the least-squares solution of
+    [H 1; 1^T 0][delta; mu] = [-g; 0], cut off where a weight reaches 0 and
+    searched exactly like the pairwise step.
+
+    Exact drops can leave sigma singular on a direction that the optimum
+    needs.  There single atoms no longer help (the first bit of weight of an
+    atom that reaches into the null space fills it and changes nothing
+    else), so the objective stops falling although the gap stays large.
+    When STALL_ITER iterations lowered it by less than STALL_GAIN times the
+    gap, RESEED_MIX of the weight is spread uniformly over the basis states,
+    the active atoms and the d best-scoring atoms, from where the Newton
+    step moves those atoms together.
+
+    Returns (weights, model at them, gap, iterations), where gap is the
+    Frank-Wolfe linearization gap at the returned weights, a certified bound
+    on the distance of their objective value to the minimum: the only
+    certificate.
+    """
+    d, K = Phi.shape
+    basis = np.argmax(np.abs(Phi), axis=1)   # the computational basis states
+    weights = np.zeros(K)
+    weights[basis] = 1.0
+    weights /= weights.sum()
     it = 0
+    mark = math.inf
     while True:
-        sigma = (Phi * weights) @ Phi_H
-        s = scores(sigma)
+        active = np.flatnonzero(weights)
+        at = model(_mixture(Phi[:, active], weights[active]))
+        s = at.scores(Phi)
         fw = int(np.argmin(s))
-        g = float(weights @ s)
-        gap = g - s[fw]
+        away = int(active[np.argmax(s[active])])
+        gap = float(weights @ s) - s[fw]
         if gap < gap_tol or it == max_iter:
             break
+        if it % STALL_ITER == 0:
+            if mark - at.value < STALL_GAIN * gap and gap > STALL_GAP * gap_tol:
+                seed = np.zeros(K)   # the reseed described above
+                seed[np.concatenate([basis, active, np.argsort(s)[:d]])] = 1.0
+                weights = (1.0 - RESEED_MIX) * weights + RESEED_MIX * seed / seed.sum()
+                mark = math.inf
+                it += 1
+                continue
+            mark = at.value
         it += 1
-        active = np.nonzero(weights > 0.0)[0]
-        away = int(active[np.argmax(s[active])])
-        toward = gap >= s[away] - g or weights[away] == 1.0
-        if toward:
-            step = -weights   # toward vertex fw
-            step[fw] += 1.0
-            t_max = 1.0
-        else:
-            step = weights.copy()   # away from vertex away, up to dropping it
-            step[away] -= 1.0
-            t_max = weights[away] / (1.0 - weights[away])
-        t = step_length(sigma, Phi[:, fw if toward else away], toward, t_max)
-        if t is None:   # the derivative is >= 0 at t = 0 within rounding
+        phi, chi = Phi[:, fw], Phi[:, away]
+        t = _line_search(at.along(np.outer(phi, phi.conj()) - np.outer(chi, chi.conj())),
+                         weights[away], s[fw] - s[away])
+        if t is None:
             break
-        weights = np.clip(weights + t * step, 0.0, None)
-        if t == t_max and step[away] < 0.0:
-            weights[away] = 0.0
+        weights[fw] += t
+        weights[away] = 0.0 if t == weights[away] else weights[away] - t
+        active = np.flatnonzero(weights)
+        PA = Phi[:, active]
+        at = model(_mixture(PA, weights[active]))
+        n = len(active)
+        kkt = np.ones((n + 1, n + 1))
+        kkt[:n, :n] = at.hessian(PA)
+        kkt[n, n] = 0.0
+        g = at.scores(PA)
+        delta = _least_squares_symmetric(kkt, np.append(-g, 0.0))[:n]
+        delta -= delta.mean()   # the solve meets sum = 0 only to the scale of mu
+        shrink = delta < 0.0
+        ratios = np.where(shrink, weights[active] / np.where(shrink, -delta, 1.0), np.inf)
+        block = int(np.argmin(ratios))
+        if not math.isfinite(ratios[block]):
+            continue
+        t = _line_search(at.along((PA * delta) @ PA.conj().T), ratios[block], float(g @ delta))
+        if t is None:
+            continue
+        weights[active] = np.clip(weights[active] + t * delta, 0.0, None)
+        if t == ratios[block]:
+            weights[active[block]] = 0.0
         weights /= weights.sum()
-    return weights, sigma, max(gap, 0.0), it
+    return weights, at, max(gap, 0.0), it
 
 
 # ---------------------------------------------------------------------------
@@ -220,56 +352,63 @@ class SmaxResult:
     iterations: int
 
 
-EIG_FLOOR = 1e-12
 SMAX_GAP_TOL = 1e-10
 SMAX_MAX_ITER = 10000
 
 
-def _floored_eigh(sigma: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """sigma's eigenvalues, floored at EIG_FLOOR, and its eigenvectors."""
-    ws, vs = np.linalg.eigh(sigma)
-    return np.clip(ws, EIG_FLOOR, None), vs
+class _Smax:
+    """f(sigma) = psi^dag sigma^-1 psi at one sigma (its value), from the
+    floored eigendecomposition sigma = L L^dag, L = V diag(sqrt(w))."""
 
+    def __init__(self, psi: np.ndarray, sigma: np.ndarray):
+        ws, vs = _floored_eigh(sigma)
+        self.psi = psi
+        self.sigma = sigma
+        self.inv_l = vs.conj().T / np.sqrt(ws)[:, None]     # L^-1
+        y = self.inv_l @ psi
+        self.x = self.inv_l.conj().T @ y                    # sigma^-1 psi
+        self.value = float(np.real(np.vdot(y, y)))
 
-def _inverse_times(eig: Tuple[np.ndarray, np.ndarray], v: np.ndarray) -> np.ndarray:
-    """sigma^-1 v from sigma's floored eigendecomposition."""
-    ws, vs = eig
-    return vs @ ((vs.conj().T @ v) / ws)
+    def scores(self, Phi: np.ndarray) -> np.ndarray:
+        """df/dw_k = -|phi_k^dag sigma^-1 psi|^2."""
+        return -np.abs(Phi.conj().T @ self.x) ** 2
 
+    def hessian(self, Phi: np.ndarray) -> np.ndarray:
+        """H_kl = 2 Re(conj(a_k) C_kl a_l), a = Phi^dag sigma^-1 psi and
+        C = Phi^dag sigma^-1 Phi."""
+        a = Phi.conj().T @ self.x
+        Y = self.inv_l @ Phi
+        return 2.0 * np.real(a.conj()[:, None] * (Y.conj().T @ Y) * a[None, :])
 
-def _smax_step(eig: Tuple[np.ndarray, np.ndarray], psi: np.ndarray, phi: np.ndarray,
-               toward: bool, t_max: float) -> Optional[float]:
-    """Exact line search of f = psi^dag sigma^-1 psi along a Frank-Wolfe step
-    toward or away from phi phi^dag, in closed form.
+    def along(self, D: np.ndarray) -> Probe:
+        """With L^-1 D L^-dag = U diag(mu) U^dag and b = U^dag L^-1 psi,
+        f(sigma + tD) = sum_i |b_i|^2 / (1 + t mu_i) and (sigma + tD)^-1 psi
+        = L^-dag U (b / (1 + t mu)), so each probe is O(d^2).  The slope is
+        taken as -x^dag D x from that x: a sum over mu cancels to an error of
+        EPS max|mu|, which is large where sigma is nearly singular."""
+        mu, U = np.linalg.eigh(self.inv_l @ D @ self.inv_l.conj().T)
+        b = U.conj().T @ (self.inv_l @ self.psi)
+        p = np.abs(b) ** 2
+        back = self.inv_l.conj().T @ U
+        abs_d = np.abs(D)
 
-    On either step sigma(t) is a multiple of sigma + s phi phi^dag, with
-    s = t/(1-t) toward and s = -t/(1+t) away, and Sherman-Morrison gives
-    f(s) = (1+s)(a + e s)/(1 + c s), where a = psi^dag sigma^-1 psi,
-    U = |phi^dag sigma^-1 psi|^2, c = phi^dag sigma^-1 phi and e = ac - U >= 0.
-    df/ds has the sign of c e s^2 + 2 e s + (a - U), so the step ends at its
-    root (U - a) / (e + sqrt(e^2 + c e (U - a))), or at t_max when the root
-    lies at or beyond it or does not exist.  None when df/dt >= 0 at t = 0.
-    """
-    x = _inverse_times(eig, psi)
-    a = float(np.real(np.vdot(psi, x)))
-    c = float(np.real(np.vdot(phi, _inverse_times(eig, phi))))
-    U = abs(complex(np.vdot(phi, x))) ** 2
-    if (a - U if toward else U - a) >= 0.0:
-        return None
-    e = a * c - U
-    if e <= 1e-12 * a * c:   # phi parallel to psi within rounding
-        return t_max
-    disc = e * e + c * e * (U - a)
-    if disc < 0.0:   # an away step without a stationary point
-        return t_max
-    s = (U - a) / (e + math.sqrt(disc))
-    if toward:
-        t = s / (1.0 + s)
-    elif s > -1.0:
-        t = -s / (1.0 + s)
-    else:
-        return t_max
-    return min(t, t_max)
+        def probe(t: float) -> Tuple[float, float]:
+            r = 1.0 + t * mu
+            gone = r <= EIG_FLOOR   # directions in which sigma + tD is singular
+            if gone.any():
+                # a barrier, unless psi's weight there is only rounding: then
+                # the floored sigma^-1 would not move f in its last digit
+                if np.sum(p[gone]) > EIG_FLOOR * EPS * np.sum(p):
+                    return math.inf, math.inf
+                r = np.where(gone, 1.0, r)
+            x = back @ np.where(gone, 0.0, b / r)
+            slope = -float(np.vdot(x, D @ x).real)
+            ax = np.abs(x)
+            if abs(slope) <= EPS * float(ax @ abs_d @ ax):   # its rounding
+                slope = 0.0
+            return slope, 2.0 * float(np.where(gone, 0.0, p) @ (mu * mu / (r * r * r)))
+
+        return probe
 
 
 def smax_lgr_pure(psi: np.ndarray, dic: StabilizerDictionary,
@@ -277,26 +416,14 @@ def smax_lgr_pure(psi: np.ndarray, dic: StabilizerDictionary,
     """S_max-to-set = log min_sigma psi^dag sigma^-1 psi over the hull (the
     least lam with |psi><psi| <= lam sigma) and LGR = log(2 lam - 1).
 
-    f(w) = psi^dag sigma(w)^-1 psi is convex in the hull weights w with
-    df/dw_k = -|phi_k^dag sigma^-1 psi|^2, so Frank-Wolfe certifies the
-    bracket [max(f - gap, 1), f]; the values reported are the feasible upper
-    ends, and both gaps are bracket widths in the configured log units.  The
-    scores and the closed-form step share one eigendecomposition of sigma.
+    f(w) = psi^dag sigma(w)^-1 psi is convex in the hull weights w, so
+    Frank-Wolfe certifies the bracket [max(f - gap, 1), f]; the values
+    reported are the feasible upper ends, and both gaps are bracket widths in
+    the configured log units.
     """
-    eig = None   # sigma's floored eigendecomposition at the current iterate
-
-    def scores(sigma: np.ndarray) -> np.ndarray:
-        nonlocal eig
-        eig = _floored_eigh(sigma)
-        return -np.abs(dic.adjoint @ _inverse_times(eig, psi)) ** 2
-
-    weights, _, gap, it = _frank_wolfe(
-        dic.matrix, scores,
-        lambda sigma, phi, toward, t_max: _smax_step(eig, psi, phi, toward, t_max),
-        SMAX_GAP_TOL, SMAX_MAX_ITER,
-    )
-    # the last scores call was at the returned weights
-    lam = max(float(np.real(np.vdot(psi, _inverse_times(eig, psi)))), 1.0)
+    weights, at, gap, it = _frank_wolfe(
+        dic.matrix, lambda sigma: _Smax(psi, sigma), SMAX_GAP_TOL, SMAX_MAX_ITER)
+    lam = max(at.value, 1.0)
     low = max(lam - gap, 1.0)
     s_max = log_value(lam, config)
     lgr = log_value(2.0 * lam - 1.0, config)
@@ -331,46 +458,89 @@ def _entropy_term_nat(rho: np.ndarray) -> float:
     return float(np.sum(wr * np.log(wr)))
 
 
-def _cross_term_nat(rho: np.ndarray, sigma: np.ndarray) -> float:
-    ws, vs = _floored_eigh(sigma)
-    diag = np.real(np.einsum("ij,jk,ki->i", vs.conj().T, rho, vs))
-    return -float(np.sum(diag * np.log(ws)))
+def _log_differences(ws: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Divided differences of log at the eigenvalues ws: (L1, R, D2).
 
-
-def _gradient(rho: np.ndarray, sigma: np.ndarray) -> np.ndarray:
-    """G with d/dt S(rho || sigma + tH) = Tr(G H): divided differences of log
-    in sigma's eigenbasis."""
-    ws, vs = _floored_eigh(sigma)
-    rho_t = vs.conj().T @ rho @ vs
+    L1[i, j] = [w_i, w_j] log = (log w_i - log w_j) / (w_i - w_j).  Where
+    x = (w_i - w_j) / (w_i + w_j) is below 1e-2 it comes from the series
+    log(w_i / w_j) = 2 atanh(x) = 2 (x + x^3/3 + x^5/5 + x^7/7 + ...), which
+    keeps the digits a difference of logs loses and gives 1/w_i at x = 0.
+    The second ones are [w_i, w_m, w_j] log = R_ij (L1_im - L1_jm), with
+    R_ij = 1 / (w_i - w_j), or D2_im = [w_i, w_i, w_m] log where w_i and w_j
+    agree to 1e-8 and R_ij is 0: second differences only shape Newton steps,
+    so they need not resolve nearer nodes.
+    """
+    a, b = ws[:, None], ws[None, :]
+    delta = a - b
+    safe = np.where(delta == 0.0, 1.0, delta)
+    x2 = (delta / (a + b)) ** 2
+    series = 2.0 / (a + b) * (1.0 + x2 * (1.0 / 3.0 + x2 * (0.2 + x2 / 7.0)))
     lw = np.log(ws)
-    denom = ws[:, None] - ws[None, :]
-    num = lw[:, None] - lw[None, :]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        kmat = np.where(np.abs(denom) > 1e-14, num / denom, 1.0 / ws[:, None])
-    G_t = -kmat * rho_t
-    return vs @ G_t @ vs.conj().T
+    L1 = np.where(x2 < 1e-4, series, (lw[:, None] - lw) / safe)
+    R = np.where(x2 > 1e-16, 1.0 / safe, 0.0)
+    D2 = np.where(R != 0.0, (1.0 / a - L1) * R, -0.5 / (a * a))
+    return L1, R, D2
 
 
-def _rel_entropy_step(rho: np.ndarray, sigma: np.ndarray, phi: np.ndarray,
-                      toward: bool, t_max: float) -> Optional[float]:
-    """Exact line search of S(rho || sigma + tD), D = phi phi^dag - sigma
-    toward phi and sigma - phi phi^dag away: the root of its derivative
-    Re Tr(G(sigma + tD) D), bracketed on [0, t_max]."""
-    import scipy.optimize  # on first use, so only S_rel and the LP load it
-    D = np.outer(phi, phi.conj()) - sigma
-    if not toward:
-        D = -D
+class _RelEntropy:
+    """f(sigma) = -Tr(rho log sigma), the sigma-dependent part of S(rho||sigma),
+    at one sigma.
 
-    @lru_cache(maxsize=None)  # brentq re-evaluates slope(t_max)
-    def slope(t: float) -> float:
-        return float(np.vdot(D, _gradient(rho, sigma + t * D)).real)
+    In sigma's eigenbasis (Daleckii-Krein), with L1 and F the first and
+    second divided differences of log at sigma's floored eigenvalues, the
+    derivative along D is -Re sum_ij conj(rho_ij) L1_ij D_ij and the second
+    derivative -2 Re sum_imj rho_ji F_imj D_im D_mj.  F splits as in
+    _log_differences, so along one D the sum over m is a matrix product, and
+    the Hessian runs one m at a time: no d x d x d array is held.
+    """
 
-    if slope(t_max) <= 0.0:
-        return t_max
-    try:
-        return scipy.optimize.brentq(slope, 0.0, t_max, xtol=1e-15, rtol=1e-15)
-    except ValueError:  # slope(0) >= 0 within rounding: no descent left
-        return None
+    def __init__(self, rho: np.ndarray, sigma: np.ndarray):
+        self.rho = rho
+        self.sigma = sigma
+        self.ws, self.vs = _floored_eigh(sigma)
+        self.rho_t = self.vs.conj().T @ rho @ self.vs
+        self.diffs = _log_differences(self.ws)
+        self.grad = self.vs @ (-self.diffs[0] * self.rho_t) @ self.vs.conj().T
+
+    @property
+    def value(self) -> float:
+        return -float(np.real(np.diagonal(self.rho_t)) @ np.log(self.ws))
+
+    def scores(self, Phi: np.ndarray) -> np.ndarray:
+        """df/dw_k = Tr(G phi_k phi_k^dag)."""
+        return np.real(np.einsum("ik,ik->k", Phi.conj(), self.grad @ Phi))
+
+    def hessian(self, Phi: np.ndarray) -> np.ndarray:
+        """H_kl = -2 Re sum_m conj(x_km) x_lm (X B_m X^dag)_kl, with x_k = phi_k
+        in sigma's eigenbasis and B_m[i, j] = rho_ji F_imj."""
+        L1, R, D2 = self.diffs
+        X = (self.vs.conj().T @ Phi).T   # row k: phi_k in sigma's eigenbasis
+        XH = X.conj().T
+        H = np.zeros((X.shape[0], X.shape[0]))
+        for m in range(len(self.ws)):
+            F = R * (L1[:, m, None] - L1[None, :, m]) + (R == 0.0) * D2[:, m, None]
+            H += np.real(np.outer(XH[m], X[:, m]) * (X @ (self.rho_t.T * F) @ XH))
+        return -2.0 * H
+
+    def along(self, D: np.ndarray) -> Probe:
+        def probe(t: float) -> Tuple[float, float]:
+            if t == 0.0:
+                vs, rho_t, (L1, R, D2) = self.vs, self.rho_t, self.diffs
+            else:
+                ws, vs = _floored_eigh(self.sigma + t * D)
+                rho_t = vs.conj().T @ self.rho @ vs
+                L1, R, D2 = _log_differences(ws)
+            Dt = vs.conj().T @ D @ vs
+            LD = L1 * Dt
+            T = R * (LD @ Dt - Dt @ LD) + (R == 0.0) * ((D2 * Dt) @ Dt)
+            # rho_t is Hermitian, so sum_ij rho_ji T_ij = vdot(rho_t, T)
+            slope = -np.vdot(rho_t, LD).real
+            # Dt carries an error of about EPS max|Dt| in every entry
+            if abs(slope) <= EPS * np.abs(Dt).max() * np.sum(np.abs(rho_t) * L1):
+                slope = 0.0
+            return slope, -2.0 * np.vdot(rho_t, T).real
+
+        return probe
 
 
 def rel_entropy_magic(rho: np.ndarray, dic: StabilizerDictionary,
@@ -383,18 +553,15 @@ def rel_entropy_magic(rho: np.ndarray, dic: StabilizerDictionary,
     gap_tol is in nats, while the returned gap is in the configured log units
     (a gap of gap_tol nats reads gap_tol / ln 2 bits).
     """
-    _, sigma, gap, it = _frank_wolfe(
-        dic.matrix, lambda sigma: _expectations(dic, _gradient(rho, sigma)),
-        lambda sigma, phi, toward, t_max: _rel_entropy_step(rho, sigma, phi, toward, t_max),
-        gap_tol, max_iter,
-    )
+    _, at, gap, it = _frank_wolfe(
+        dic.matrix, lambda sigma: _RelEntropy(rho, sigma), gap_tol, max_iter)
     ln_b = math.log(config.base_value())
     return FwResult(
-        value=(_entropy_term_nat(rho) + _cross_term_nat(rho, sigma)) / ln_b,
+        value=(_entropy_term_nat(rho) + at.value) / ln_b,
         gap=gap / ln_b,
         status=STATUS_UPPER,
         iterations=it,
-        sigma=sigma,
+        sigma=at.sigma,
     )
 
 

@@ -39,12 +39,14 @@ def t_state_path(tmp_path):
 
 
 def test_cli_import_does_not_load_sympy():
+    # nor any part of scipy: the LP loads scipy.optimize when it first runs
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(quditmagic.__file__)))
     out = subprocess.run(
-        [sys.executable, "-c", "import sys, quditmagic.cli; print('sympy' in sys.modules)"],
+        [sys.executable, "-c", "import sys, quditmagic.cli; "
+         "print('sympy' in sys.modules, any(m.split('.')[0] == 'scipy' for m in sys.modules))"],
         env=env, capture_output=True, text=True, check=True,
     )
-    assert out.stdout.strip() == "False"
+    assert out.stdout.split() == ["False", "False"]
 
 
 # Each case runs in a fresh interpreter: the exit code of cli.main, then
@@ -65,7 +67,8 @@ print(code, "scipy.optimize" in sys.modules)
     (["certify", "--patches", "1.0:2,1.0:2"], False),
     (["magic", "--state", "T_STATE"], True),
     (["magic", "--state", "T_STATE", "--measures", "lf,smax,lgr"], False),
-], ids=["import", "cover", "certify", "magic", "magic-lf-smax-lgr"])
+    (["magic", "--state", "T_STATE", "--measures", "lf,srel,smax,lgr"], False),
+], ids=["import", "cover", "certify", "magic", "magic-lf-smax-lgr", "magic-lf-srel-smax-lgr"])
 def test_only_magic_loads_scipy_optimize(tmp_path, argv, loaded):
     argv = [t_state_path(tmp_path) if a == "T_STATE" else a for a in argv]
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(quditmagic.__file__)))

@@ -173,6 +173,8 @@ def test_kernel_and_solve_at_composite_moduli(q, A, v):
     n = len(A[0])
     v = v[:n]
     gens = linalg.left_kernel_mod(A, q)
+    # the kernel alone, with the relations lattice_data reads off the same form
+    assert gens == linalg.lattice_data(A, q, n)[2]
     spanned = brute_subgroup([[c % q for c in g] for g in gens], q, len(A))
     assert spanned == brute_kernel(A, q)
     # x -> x*A maps Z_q^k onto the image with this kernel; over Z the rows

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -192,19 +193,10 @@ def test_smax_equals_stabilizer_extent_literals(dic12):
     assert abs(magic.smax_lgr_pure(tt, dic22).lam - 1 / c2 ** 2) < 1e-12
 
 
-def bracketed_smax_step(sigma, psi, phi, toward, t_max):
-    """The S_max line search by root finding, as the engine did it before its
-    closed form: the root of d/dt psi^dag sigma(t)^-1 psi along
-    sigma(t) = sigma + tD, bracketed on [0, t_max]."""
-    D = np.outer(phi, phi.conj()) - sigma
-    if not toward:
-        D = -D
-
-    def slope(t):
-        ws, vs = np.linalg.eigh(sigma + t * D)
-        x = vs @ ((vs.conj().T @ psi) / np.clip(ws, magic.EIG_FLOOR, None))
-        return -float(np.real(np.vdot(x, D @ x)))
-
+def bracketed_root(slope, t_max):
+    """The exact line search by root finding, as the engine once did it: the
+    root of the slope bracketed on [0, t_max], t_max when the slope is still
+    negative there, None when it is not negative at 0."""
     if slope(t_max) <= 0.0:
         return t_max
     try:
@@ -213,42 +205,62 @@ def bracketed_smax_step(sigma, psi, phi, toward, t_max):
         return None
 
 
+def smax_slope(sigma, psi, D):
+    """d/dt psi^dag sigma(t)^-1 psi along sigma(t) = sigma + tD, from a
+    floored eigendecomposition of sigma(t)."""
+    def slope(t):
+        ws, vs = np.linalg.eigh(sigma + t * D)
+        x = vs @ ((vs.conj().T @ psi) / np.clip(ws, magic.EIG_FLOOR, None))
+        return -float(np.real(np.vdot(x, D @ x)))
+    return slope
+
+
+def rel_entropy_gradient(rho, sigma):
+    """G with d/dt S(rho || sigma + tH) = Tr(G H): plain divided differences
+    of log in sigma's eigenbasis, as the engine once computed them."""
+    ws, vs = np.linalg.eigh(sigma)
+    ws = np.clip(ws, magic.EIG_FLOOR, None)
+    rho_t = vs.conj().T @ rho @ vs
+    lw = np.log(ws)
+    denom = ws[:, None] - ws[None, :]
+    num = lw[:, None] - lw[None, :]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        kmat = np.where(np.abs(denom) > 1e-14, num / denom, 1.0 / ws[:, None])
+    return vs @ (-kmat * rho_t) @ vs.conj().T
+
+
 def random_unit(rng, d):
     v = rng.normal(size=d) + 1j * rng.normal(size=d)
     return v / np.linalg.norm(v)
 
 
-@settings(max_examples=200, deadline=None)
-@given(
-    st.integers(min_value=2, max_value=6),
-    st.integers(min_value=0, max_value=2 ** 32 - 1),
-    st.booleans(),
-    st.booleans(),
-    st.floats(min_value=0.05, max_value=1.0),
-)
-@example(3, 0, True, True, 1.0)     # phi = psi: e = 0, f falls all the way
-@example(3, 0, False, True, 1.0)    # phi = psi away: no descent
-@example(3, 0, True, False, 0.05)   # the root lies beyond t_max
-@example(3, 5, True, False, 1.0)    # no descent toward phi
-@example(3, 5, False, False, 1.0)   # the away step drops phi
-@example(3, 0, False, False, 1.0)   # an interior away step
-def test_smax_step_matches_bracketed_root(d, seed, toward, parallel, frac):
-    # sigma is a full-rank mixture of random projectors; an away step needs
-    # phi in it with weight w, and may then run up to t = w / (1 - w), so an
-    # interior root is compared on the scale of max(1, t)
+def line_search_case(d, seed, kind, frac):
+    """(sigma, phi, D, t_max) for one step kind of the engine: toward phi,
+    away from phi, or pairwise from chi to phi.  sigma is a full-rank
+    mixture of random projectors; the away and pairwise steps need their
+    atom in it with weight w, and may then run up to w / (1 - w) and w.  A
+    "drop" is an away step from a sigma made of d atoms, which leaves sigma
+    singular at t = w / (1 - w)."""
     rng = np.random.default_rng(seed)
-    vecs = [random_unit(rng, d) for _ in range(d + 2)]
-    sigma = sum(w * np.outer(v, v.conj()) for w, v in zip(rng.uniform(0.1, 1.0, d + 2), vecs))
+    count = d - 1 if kind == "drop" else d + 2
+    vecs = [random_unit(rng, d) for _ in range(count)]
+    sigma = sum(w * np.outer(v, v.conj()) for w, v in zip(rng.uniform(0.1, 1.0, count), vecs))
     sigma /= np.trace(sigma).real
-    psi = random_unit(rng, d)
-    phi = psi.copy() if parallel else random_unit(rng, d)
-    t_max = frac
-    if not toward:
-        w = rng.uniform(0.05, 0.95)
-        sigma = w * np.outer(phi, phi.conj()) + (1.0 - w) * sigma
-        t_max = frac * w / (1.0 - w)
-    got = magic._smax_step(magic._floored_eigh(sigma), psi, phi, toward, t_max)
-    want = bracketed_smax_step(sigma, psi, phi, toward, t_max)
+    phi = random_unit(rng, d)
+    P = np.outer(phi, phi.conj())
+    if kind == "toward":
+        return sigma, phi, P - sigma, frac
+    w = rng.uniform(0.05, 0.95)
+    if kind in ("away", "drop"):
+        sigma = w * P + (1.0 - w) * sigma
+        return sigma, phi, sigma - P, frac * w / (1.0 - w)
+    chi = random_unit(rng, d)
+    sigma = w * np.outer(chi, chi.conj()) + (1.0 - w) * sigma
+    return sigma, phi, P - np.outer(chi, chi.conj()), frac * w
+
+
+def check_against_bracketed_root(got, want, t_max):
+    # an interior root is compared on the scale of max(1, t)
     if want is None or want == t_max:
         assert got == want
     else:
@@ -256,17 +268,150 @@ def test_smax_step_matches_bracketed_root(d, seed, toward, parallel, frac):
         assert abs(got - want) <= 1e-12 * max(1.0, want)
 
 
-# (S_max, S_rel) iteration counts of the engine from the uniform start; a
-# change to a step or to the vertex rule shows here first.  After T's first
-# S_max step the away/toward rule meets an exact tie: the correctly rounded
-# step length breaks it away (7 iterations), the closed form, one ulp above
-# it, toward (8).
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(min_value=2, max_value=6),
+    st.integers(min_value=0, max_value=2 ** 32 - 1),
+    st.sampled_from(["toward", "away", "pairwise", "drop"]),
+    st.booleans(),
+    st.floats(min_value=0.05, max_value=1.0),
+)
+@example(3, 0, "toward", True, 1.0)     # phi = psi: f falls all the way to a singular sigma
+@example(3, 0, "away", True, 1.0)       # phi = psi away: no descent
+@example(3, 0, "toward", False, 0.05)   # the root lies beyond t_max
+@example(3, 5, "toward", False, 1.0)    # no descent toward phi
+@example(3, 5, "away", False, 1.0)      # the away step drops phi
+@example(3, 0, "away", False, 1.0)      # an interior away step
+@example(3, 0, "pairwise", False, 1.0)  # a pairwise step
+@example(3, 0, "drop", False, 1.0)      # sigma turns singular at t_max: a barrier
+def test_smax_step_matches_bracketed_root(d, seed, kind, parallel, frac):
+    sigma, phi, D, t_max = line_search_case(d, seed, kind, frac)
+    psi = phi.copy() if parallel else random_unit(np.random.default_rng(seed + 1), d)
+    slope = smax_slope(sigma, psi, D)
+    got = magic._line_search(magic._Smax(psi, sigma).along(D), t_max, slope(0.0))
+    check_against_bracketed_root(got, bracketed_root(slope, t_max), t_max)
+
+
+@pytest.mark.parametrize("leak", [1e-2, 1e-4, 1e-6])
+def test_smax_step_stops_at_a_barrier(leak):
+    # dropping phi leaves sigma singular on a direction n that psi touches
+    # only by `leak`: f falls almost all the way, then rises to infinity
+    # just before t_max
+    d = 3
+    sigma, phi, D, t_max = line_search_case(d, 4, "drop", 1.0)
+    rest = sigma + t_max * D   # the mixture without phi, of rank d - 1
+    _, v = np.linalg.eigh(rest)
+    psi = v[:, -1] + leak * v[:, 0]
+    psi /= np.linalg.norm(psi)
+    slope = smax_slope(sigma, psi, D)
+    got = magic._line_search(magic._Smax(psi, sigma).along(D), t_max, slope(0.0))
+    want = bracketed_root(slope, t_max)
+    assert want is not None and want < t_max
+    check_against_bracketed_root(got, want, t_max)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(min_value=2, max_value=6),
+    st.integers(min_value=0, max_value=2 ** 32 - 1),
+    st.sampled_from(["toward", "away", "pairwise", "drop"]),
+    st.integers(min_value=1, max_value=6),
+    st.floats(min_value=0.05, max_value=1.0),
+)
+@example(3, 0, "toward", 1, 1.0)
+@example(3, 0, "toward", 1, 0.05)
+@example(3, 0, "away", 2, 1.0)
+@example(3, 0, "pairwise", 3, 1.0)
+@example(3, 0, "drop", 1, 1.0)
+def test_rel_entropy_step_matches_bracketed_root(d, seed, kind, rank, frac):
+    sigma, phi, D, t_max = line_search_case(d, seed, kind, frac)
+    rng = np.random.default_rng(seed + 1)
+    vecs = [random_unit(rng, d) for _ in range(rank)]
+    rho = sum(w * np.outer(v, v.conj()) for w, v in zip(rng.uniform(0.1, 1.0, rank), vecs))
+    rho /= np.trace(rho).real
+
+    def slope(t):
+        return float(np.vdot(D, rel_entropy_gradient(rho, sigma + t * D)).real)
+
+    got = magic._line_search(magic._RelEntropy(rho, sigma).along(D), t_max, slope(0.0))
+    check_against_bracketed_root(got, bracketed_root(slope, t_max), t_max)
+
+
+@pytest.mark.parametrize("a,b,eps", [(1.0, 0.5, 1e-3), (0.3, 0.7, 1e-12), (1e-3, 5.0, 1e-9)])
+def test_line_search_exact_on_quadratic_and_log_barrier(a, b, eps):
+    # f = b t + a (t - 1)^2 has a linear slope, f = b t - a log(t + eps) a
+    # slope whose secant steps on f'/sqrt(f'') are exact; Newton on the
+    # barrier's slope would only double t + eps per probe
+    def quadratic(t):
+        return b + 2 * a * (t - 1.0), 2 * a
+
+    def barrier(t):
+        return b - a / (t + eps), a / (t + eps) ** 2
+
+    for probe, root in ((quadratic, 1.0 - b / (2 * a)), (barrier, a / b - eps)):
+        if root <= 0.0:
+            assert magic._line_search(probe, 10.0, probe(0.0)[0]) is None
+            continue
+        probes = []
+        t = magic._line_search(lambda t: probes.append(t) or probe(t), 10.0, probe(0.0)[0])
+        assert abs(t - root) <= 1e-12 * root
+        assert len(probes) <= 4
+
+
+def test_log_divided_differences_keep_digits():
+    # L1 against log1p on nodes whose ratio runs from 1 + 1e-1 to 1 + 1e-15,
+    # across the switch between the atanh series and a difference of logs
+    for r in [10.0 ** -k for k in range(1, 16)] + [0.0199, 0.0201, 0.02, 2e-8]:
+        ws = np.array([0.25, 0.25 * (1 + r)])
+        L1, R, D2 = magic._log_differences(ws)
+        gap = ws[1] - ws[0]   # exact, as is gap / 0.25
+        want = math.log1p(gap / ws[0]) / gap
+        assert abs(L1[0, 1] - want) <= 1e-13 * want
+        assert L1[0, 1] == L1[1, 0] and L1[0, 0] == 1 / ws[0]
+
+
+@pytest.mark.parametrize("spread", [0.0, 1e-12, 1e-9, 1e-6, 0.3])
+@pytest.mark.parametrize("objective", ["smax", "srel"])
+def test_objective_derivatives_agree(objective, spread):
+    # scores, Hessian and probe describe one function: the probe's slope and
+    # curvature at 0 along D = sum_k delta_k phi_k phi_k^dag are scores . delta
+    # and delta^T H delta, and match central differences of the value;
+    # spread sets how far sigma's eigenvalues lie apart (0: sigma = I/d)
+    d, k = 4, 6
+    rng = np.random.default_rng(3)
+    u, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+    ws = 1.0 / d + spread * np.arange(d)
+    sigma = (u * (ws / ws.sum())) @ u.conj().T
+    Phi = np.column_stack([random_unit(rng, d) for _ in range(k)])
+    delta = rng.normal(size=k)
+    delta -= delta.mean()
+    D = (Phi * delta) @ Phi.conj().T
+    psi = random_unit(rng, d)
+    if objective == "smax":
+        model = functools.partial(magic._Smax, psi)
+    else:
+        model = functools.partial(magic._RelEntropy, dense.density_of(psi))
+    at = model(sigma)
+    slope, curv = at.along(D)(0.0)
+    assert abs(slope - at.scores(Phi) @ delta) <= 1e-12 * abs(slope)
+    assert abs(curv - delta @ at.hessian(Phi) @ delta) <= 1e-10 * curv
+    h = 1e-5
+    assert abs(slope - (model(sigma + h * D).value - model(sigma - h * D).value) / (2 * h)) \
+        <= 1e-6 * abs(slope)
+    fd_curv = (at.along(D)(h)[0] - at.along(D)(-h)[0]) / (2 * h)
+    assert abs(curv - fd_curv) <= 1e-6 * curv
+
+
+# (S_max, S_rel) iteration counts of the engine from the computational basis
+# start; a change to a step or to the atom rule shows here first.  Ties among
+# the scores of symmetric states (T, T x T) are broken by argmin/argmax in
+# the last ulp, so a different LAPACK build may move these by a step.
 PINNED_ITERATIONS = [
-    pytest.param((1, 2), t_state(), 8, 7, id="T"),
-    pytest.param((2, 2), np.kron(t_state(), t_state()), 149, 92, id="TxT"),
+    pytest.param((1, 2), t_state(), 2, 2, id="T"),
+    pytest.param((2, 2), np.kron(t_state(), t_state()), 10, 8, id="TxT"),
 ] + [
     pytest.param((1, 2), random_state(2, 1, seed), smax, srel, id="random%d" % seed)
-    for seed, (smax, srel) in enumerate([(15, 7), (15, 7), (20, 23), (7, 7), (7, 7), (21, 10)])
+    for seed, (smax, srel) in enumerate([(5, 3), (4, 3), (5, 4), (3, 1), (3, 2), (5, 3)])
 ]
 
 
@@ -275,6 +420,65 @@ def test_frank_wolfe_iteration_counts(size, psi, smax, srel, dic12, lr_dics):
     dic = dic12 if size == (1, 2) else lr_dics[size]
     assert magic.smax_lgr_pure(psi, dic).iterations == smax
     assert magic.rel_entropy_magic(dense.density_of(psi), dic).iterations == srel
+
+
+@pytest.fixture(scope="module")
+def convergence_dics(dic12, lr_dics):
+    return {(1, 2): dic12, (2, 2): lr_dics[(2, 2)],
+            (2, 3): magic.build_dictionary(2, 3, RunConfig()),
+            (3, 2): magic.build_dictionary(3, 2, RunConfig())}
+
+
+CONVERGENCE_STATES = [
+    pytest.param((1, 2), t_state(), id="T"),
+    pytest.param((2, 2), np.kron(t_state(), t_state()), id="TxT"),
+    pytest.param((2, 2), np.array([1, 1, 1, 1j]) / 2, id="11i1"),
+] + [
+    pytest.param((n, q), random_state(q, n, seed), id="q%dn%d-seed%d" % (q, n, seed))
+    for n, q in [(2, 3), (3, 2)] for seed in (1, 2)
+]
+
+
+@pytest.mark.parametrize("size,psi", CONVERGENCE_STATES)
+def test_frank_wolfe_converges(size, psi, convergence_dics):
+    # S_max/LGR reach the exact status and S_rel a 1e-10 nat gap, well
+    # inside the iteration caps
+    dic = convergence_dics[size]
+    sm = magic.smax_lgr_pure(psi, dic)
+    assert sm.status == magic.STATUS_EXACT
+    assert sm.iterations < magic.SMAX_MAX_ITER
+    fw = magic.rel_entropy_magic(dense.density_of(psi), dic, gap_tol=1e-10)
+    assert fw.gap * math.log(2) < 1e-10
+    assert fw.iterations < 10000
+
+
+def test_smax_converges_on_q6_state():
+    # this (6,1) state ran into the 10,000-iteration cap of the away-step
+    # engine, with an S_max gap of 2.2e-10
+    rng = np.random.default_rng(7)
+    for d in (2, 3, 4, 4, 4, 5):
+        rng.normal(size=d)
+        rng.normal(size=d)
+    psi = rng.normal(size=6) + 1j * rng.normal(size=6)
+    psi /= np.linalg.norm(psi)
+    res = magic.smax_lgr_pure(psi, magic.build_dictionary(1, 6, RunConfig()))
+    assert res.status == magic.STATUS_EXACT
+    assert res.iterations < 100
+    assert abs(res.lam - 2.25361181770673) < 1e-12
+
+
+def test_smax_leaves_a_singular_face(convergence_dics):
+    # a superposition of two stabilizer states, whose optimal sigma is
+    # singular: exact drops leave sigma singular on directions the optimum
+    # needs, where single atoms cannot enter; without the reseed the run
+    # ends at the cap with lambda 3.04 instead of 2.05
+    dic = convergence_dics[(2, 3)]
+    psi = (-1.07 - 0.02j) * dic.vectors[172] + (0.91 - 1.25j) * dic.vectors[68]
+    psi /= np.linalg.norm(psi)
+    res = magic.smax_lgr_pure(psi, dic)
+    assert res.status == magic.STATUS_EXACT
+    assert res.iterations < 200
+    assert abs(res.lam - 2.053846839968931) < 1e-12
 
 
 def test_rel_entropy_t_state(dic12):
@@ -397,22 +601,21 @@ def test_magic_report_selection(dic12):
     assert rep2.lf is None and rep2.s_max_set is None and rep2.lgr is None
 
 
-def test_rel_entropy_step_probes_each_point_once(monkeypatch):
-    # brentq evaluates the bracket ends itself; slope(t_max) from the
-    # pre-check must not be recomputed
+def test_rel_entropy_step_probes_each_point_once():
+    # the search never probes a point twice, and the secant steps on
+    # f'/sqrt(f'') take few probes
     rho = dense.density_of(t_state())
     sigma = np.eye(2, dtype=complex) / 2
     phi = np.array([1.0, 0.0], dtype=complex)
+    probe = magic._RelEntropy(rho, sigma).along(np.outer(phi, phi.conj()) - sigma)
     probes = []
-    gradient = magic._gradient
 
-    def counting(r, s):
-        probes.append(s.tobytes())
-        return gradient(r, s)
+    def counting(t):
+        probes.append(t)
+        return probe(t)
 
-    monkeypatch.setattr(magic, "_gradient", counting)
-    t = magic._rel_entropy_step(rho, sigma, phi, True, 0.9)
+    t = magic._line_search(counting, 0.9, probe(0.0)[0])
     # sigma + t|0><0| - t sigma has diagonal (1 + t, 1 - t)/2, which matches
     # rho's diagonal (1 + cos(pi/4), 1 - cos(pi/4))/2 at the minimum
     assert abs(t - math.cos(math.pi / 4)) < 1e-12
-    assert len(probes) == len(set(probes))
+    assert len(probes) == len(set(probes)) <= 6
