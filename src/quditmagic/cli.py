@@ -406,6 +406,8 @@ def _config_from_args(args) -> RunConfig:
         if args.enum_limit < 1:
             raise UsageError("--enum-limit must be positive")
         config.enum_limit = args.enum_limit
+    if args.seed < 0:
+        raise UsageError("--seed must be non-negative")
     config.seed = args.seed
     config.output = args.output
     return config

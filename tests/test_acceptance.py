@@ -147,15 +147,15 @@ def test_criterion_03_monotone_chain():
             psi = random_pure(rng, q, 1)
             rho = dense.density_of(psi)
             lf, _ = magic.lf_pure(psi, dic)
-            fw = magic.rel_entropy_magic(rho, dic)
+            fw = magic.rel_entropy_magic(rho, dic).s_rel
             sm = magic.smax_lgr_pure(psi, dic)
-            lr = magic.lr_lp(rho, dic)
+            lr = magic.lr_lp(rho, dic).lr
             chain = [
                 ("LF <= S_rel", lf, fw.value + tol),
-                ("S_rel <= S_max", fw.value - fw.gap, sm.s_max_set + tol),
-                ("S_max <= LGR", sm.s_max_set, sm.lgr + tol),
-                ("LGR <= LR", sm.lgr, lr.value + tol),
-                ("S_max gap <= 1e-6", max(sm.gap, sm.lgr_gap), 1e-6),
+                ("S_rel <= S_max", fw.value - fw.gap, sm.s_max_set.value + tol),
+                ("S_max <= LGR", sm.s_max_set.value, sm.lgr.value + tol),
+                ("LGR <= LR", sm.lgr.value, lr.value + tol),
+                ("S_max gap <= 1e-6", max(sm.s_max_set.gap, sm.lgr.gap), 1e-6),
             ]
             for name, lo, hi in chain:
                 if lo > hi:
@@ -179,7 +179,7 @@ def test_criterion_04_robustness_ceiling():
         ceiling = covering.lr_upper_bound(n, q)
         for _ in range(count):
             rho = dense.density_of(random_pure(rng, q, n))
-            lr = magic.lr_lp(rho, dic)
+            lr = magic.lr_lp(rho, dic).lr
             worst = max(worst, lr.value - ceiling)
             if lr.value > ceiling + 1e-6:
                 ok = False
@@ -402,7 +402,7 @@ def test_criterion_12_extensivity_bound():
     bound = magic.extensive_rel_entropy_bound([(eps, 2), (eps, 2)])
     dic2 = magic.build_dictionary(2, 2)
     t2 = np.kron(t1, t1)
-    fw = magic.rel_entropy_magic(dense.density_of(t2), dic2)
+    fw = magic.rel_entropy_magic(dense.density_of(t2), dic2).s_rel
     ok = bound <= fw.value + fw.gap + 1e-12
     report(
         12, ok,

@@ -118,7 +118,7 @@ def test_magic_t_state(capsys, tmp_path):
     assert abs(m["lf"]["value"] - t_lf) < 1e-8
     assert abs(m["lr"]["value"] - 0.5) < 1e-7
     assert m["lf"]["status"] == "exact"
-    assert m["srel"]["status"] == "upper-estimate"
+    assert m["srel"]["status"] == "exact"
     assert m["lf"]["value"] <= m["lr"]["value"] + 1e-6
 
 
@@ -249,7 +249,7 @@ def test_toric_bad_geometry_or_pairs_is_usage_error(capsys, argv):
     (["toric", "annulus", "--q", "3", "--lx", "3", "--ly", "4"],
      "2351b214e14a9fe63609906070c13e90d53f4fd2c3f76ab629a624a59c142f41"),
     (["toric", "annulus", "--q", "2", "--lx", "4", "--ly", "4"],
-     "cee2ad4c557340a8b5567de83f716efad5062717399ca57c4f64e22bb94f92db"),
+     "ae16f254b937242ccb5799016a67e8935c364eb82f9c32dd1740b194d01a2b44"),
     # even q: products pick up half-integer omega powers (omega_{2q} phases)
     (["toric", "annulus", "--q", "4", "--lx", "3", "--ly", "4"],
      "8627f59978e6f096c73d8b1763fc34de132b3cc11c6e645e57600e307e82f182"),
@@ -375,6 +375,19 @@ def test_certify(capsys):
     assert abs(body["bound"] - 2 * math.log2(1 / f ** 2)) < 1e-12
     code, out, err = run_cli(capsys, ["certify", "--patches", "1.0"])
     assert code == cli.EXIT_USAGE
+
+
+@pytest.mark.parametrize("flags", [
+    ["--seed", "-1"], ["--dense-limit", "0"], ["--enum-limit", "0"],
+])
+def test_bad_global_flag_is_usage_error(capsys, tmp_path, flags):
+    # rejected before any command runs, whichever command follows
+    state = write_state(tmp_path, 2, 3, [1, 0, 0, 0, 0, 0, 0, 0])
+    code, out, err = run_cli(capsys, flags + [
+        "witness", "sandwich", "--state", state, "--regionA", "0", "--regionB", "2",
+        "--depth", "0"])
+    assert code == cli.EXIT_USAGE
+    assert "usage error" in err and out == ""
 
 
 def test_unknown_flag_is_usage_error(capsys):

@@ -261,6 +261,25 @@ def test_annulus_extreme_points_q2():
     assert sorted(report.assignments) == [(i, j) for i in range(2) for j in range(2)]
 
 
+def test_annulus_dense_check_gates_ok(monkeypatch):
+    # the dense cross-check does not feed max_commutator, which comes from
+    # the exact sparse products, but a dense commutator >= 1e-9 still fails
+    # the report
+    sps_dense = stabilizer.sps_dense
+    calls = []
+
+    def skewed(sps, config=None):
+        calls.append(None)
+        mat = sps_dense(sps)
+        return mat + (1e-4 * len(calls)) * np.triu(np.ones_like(mat), 1)
+
+    monkeypatch.setattr(stabilizer, "sps_dense", skewed)
+    report = toric.annulus_extreme_points(toric.build_toric(2, 4, 4))
+    assert report.dense_checked and calls
+    assert report.max_commutator == 0.0
+    assert not report.ok
+
+
 def _fold_poly_mul(P, Q, q, m):
     # the label-based product _poly_mul must reproduce bit for bit
     out = {}
