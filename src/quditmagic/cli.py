@@ -52,8 +52,11 @@ def _report(config: RunConfig, body: dict) -> dict:
 def _emit(config: RunConfig, body: dict) -> None:
     text = json.dumps(_report(config, body), sort_keys=True, indent=2) + "\n"
     if config.output:
-        with open(config.output, "w") as fh:
-            fh.write(text)
+        try:
+            with open(config.output, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise UsageError("cannot write --output file: %s" % exc)
     else:
         sys.stdout.write(text)
 
@@ -129,6 +132,8 @@ def cmd_magic(args, config: RunConfig) -> int:
     measures = magic.ALL_MEASURES
     if args.measures:
         measures = tuple(m.strip() for m in args.measures.split(",") if m.strip())
+        if not measures:
+            raise UsageError("--measures names no measure")
         bad = [m for m in measures if m not in magic.ALL_MEASURES]
         if bad:
             raise UsageError("unknown measures: %s" % ", ".join(bad))

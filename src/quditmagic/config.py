@@ -5,7 +5,7 @@ single base choice (default 2) is consistent across modules.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 # Dense matrices above this row count are refused (eigendecomposition budget).
 DENSE_LIMIT = 20000

@@ -8,11 +8,11 @@ Conventions, fixed package-wide:
 """
 
 import json
-from typing import Callable, List, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .config import DEFAULT_CONFIG, RunConfig, check_dense, log_value
+from .config import DEFAULT_CONFIG, RunConfig, log_value
 
 
 class OverlappingRegions(ValueError):

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import quditmagic
-from quditmagic import cli, dense, pauli, stabilizer
+from quditmagic import cli, dense, magic, pauli, stabilizer
 
 
 def run_cli(capsys, argv):
@@ -132,6 +132,19 @@ def test_magic_measure_subset_and_validation(capsys, tmp_path):
     assert code == cli.EXIT_USAGE
 
 
+def test_magic_empty_measure_list_is_usage_error(capsys, tmp_path, monkeypatch):
+    # rejected before the dictionary is built
+    def no_dictionary(*args, **kwargs):
+        raise AssertionError("dictionary built for an empty measure list")
+
+    monkeypatch.setattr(magic, "build_dictionary", no_dictionary)
+    state = t_state_path(tmp_path)
+    for listed in (",", " , ,"):
+        code, out, err = run_cli(capsys, ["magic", "--state", state, "--measures", listed])
+        assert code == cli.EXIT_USAGE, err
+        assert "usage error" in err and out == ""
+
+
 def test_magic_stabilizer_state_zero(capsys, tmp_path):
     state = write_state(tmp_path, 2, 1, [1.0, 0.0])
     body = run_json(capsys, ["magic", "--state", state])
@@ -247,12 +260,12 @@ def test_toric_bad_geometry_or_pairs_is_usage_error(capsys, argv):
     (["toric", "smatrix", "--q", "3", "--lx", "3", "--ly", "3"],
      "79e56c3b6151e74ba4adc9a556fd4472274002bff675e2e48856c7ca69a7d149"),
     (["toric", "annulus", "--q", "3", "--lx", "3", "--ly", "4"],
-     "2351b214e14a9fe63609906070c13e90d53f4fd2c3f76ab629a624a59c142f41"),
+     "fccd2bea9bcdf27e8d3b8065e744df3c977337e4df08961d4c9a0a15235414ac"),
     (["toric", "annulus", "--q", "2", "--lx", "4", "--ly", "4"],
      "ae16f254b937242ccb5799016a67e8935c364eb82f9c32dd1740b194d01a2b44"),
     # even q: products pick up half-integer omega powers (omega_{2q} phases)
     (["toric", "annulus", "--q", "4", "--lx", "3", "--ly", "4"],
-     "8627f59978e6f096c73d8b1763fc34de132b3cc11c6e645e57600e307e82f182"),
+     "59662be33fa257d6605d970d6ebf3e81fa88ba3190517501cb1fe4a95d8a4fdd"),
 ])
 def test_toric_stdout_pinned(capsys, argv, digest):
     assert cli.main(argv) == 0
@@ -408,6 +421,16 @@ def test_output_flag_and_determinism(capsys, tmp_path):
     body = json.loads(out1.read_text())
     assert body["config"]["seed"] == 0
     assert body["config"]["log_base"] == 2
+
+
+def test_unwritable_output_is_usage_error(capsys, tmp_path):
+    path = tmp_path / "missing" / "x.json"
+    code, out, err = run_cli(
+        capsys, ["--output", str(path), "cover", "--q", "2", "--n", "1"]
+    )
+    assert code == cli.EXIT_USAGE, err
+    assert "usage error: cannot write --output file" in err and out == ""
+    assert not path.exists()
 
 
 def test_log_base_flag(capsys, tmp_path):

@@ -1,4 +1,3 @@
-import cmath
 import itertools
 import math
 
@@ -280,56 +279,40 @@ def test_annulus_dense_check_gates_ok(monkeypatch):
     assert not report.ok
 
 
-def _fold_poly_mul(P, Q, q, m):
-    # the label-based product _poly_mul must reproduce bit for bit
-    out = {}
-    for (a1, b1), v1 in P.items():
-        for (a2, b2), v2 in Q.items():
-            lab = pauli.compose(pauli.label(q, m, a1, b1, 0), pauli.label(q, m, a2, b2, 0))
-            key = (lab.a, lab.b)
-            out[key] = out.get(key, 0.0) + v1 * v2 * cmath.exp(1j * math.pi * lab.c / q)
-    return out
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_annulus_checks_are_exact(q):
+    # all points share the vacuum's lattice, so every comparison is exact
+    report = toric.annulus_extreme_points(toric.build_toric(q, 3, 4))
+    assert report.ok, report
+    assert report.point_count == q * q
+    assert report.max_commutator == 0.0
+    assert report.min_match_fidelity == 1.0
+    assert report.max_conjugation_defect == 0.0
 
 
-def _poly_dense(P, q, m):
-    return sum(v * pauli.to_dense(pauli.label(q, m, a, b, 0)) for (a, b), v in P.items())
+def test_annulus_repeated_anyon_type_is_unmatched():
+    code = toric.build_toric(2, 3, 4)
+    strings = toric.ring_annulus(code.lattice).strings
+    report = toric.annulus_extreme_points(code, strings=strings[:3] + strings[1:2])
+    assert report.min_match_fidelity == 1.0
+    assert report.pauli_connected
+    assert not report.anyon_matched
+    assert not report.ok
 
 
-def _random_poly(rng, q, m, terms):
-    out = {}
-    for _ in range(terms):
-        key = (tuple(rng.integers(0, q, m).tolist()), tuple(rng.integers(0, q, m).tolist()))
-        out[key] = complex(*rng.normal(size=2))
-    return out
+def test_annulus_wrong_rephasing_is_disconnected(monkeypatch):
+    def identity(gens, targets):
+        return pauli.identity_label(gens[0].q, gens[0].n)
 
-
-def _group_polys(q, n):
-    # projectors of six stabilizer groups on (n, q), phases included
-    groups = itertools.islice(stabilizer.enumerate_stabilizer_groups(n, q), 0, 60, 10)
-    return [toric._poly_of_group(S) for S in groups]
-
-
-@pytest.mark.parametrize("q,m", [(2, 1), (2, 2), (3, 2), (4, 2), (6, 1), (6, 2)])
-def test_poly_mul_matches_label_fold_and_dense(q, m):
-    rng = np.random.default_rng([q, m])
-    polys = [_random_poly(rng, q, m, t) for t in (1, 3, 7, 12)]
-    polys += _group_polys(q, m)
-    for P in polys:
-        for Q in polys:
-            got = toric._poly_mul(P, Q, q, m)
-            want = _fold_poly_mul(P, Q, q, m)
-            assert got == want
-            assert list(got) == list(want)
-            assert all(isinstance(v, complex) for v in got.values())
-            if q ** m <= 36:
-                dense = _poly_dense(P, q, m) @ _poly_dense(Q, q, m)
-                assert np.allclose(_poly_dense(got, q, m), dense, atol=1e-10)
-
-
-def test_poly_mul_empty():
-    Q = {((1,), (0,)): 1j}
-    assert toric._poly_mul({}, Q, 2, 1) == {}
-    assert toric._poly_mul(Q, {}, 2, 1) == {}
+    monkeypatch.setattr(stabilizer, "find_rephasing_pauli", identity)
+    report = toric.annulus_extreme_points(toric.build_toric(2, 3, 4))
+    assert not report.pauli_connected
+    assert not report.ok
+    # the Frobenius distance of two distinct points, which are orthogonal
+    rank = report.points[0].state.rank
+    assert report.max_conjugation_defect == math.sqrt(2 / rank)
+    rho0, rho1 = (stabilizer.sps_dense(pt.state) for pt in report.points[:2])
+    assert abs(np.linalg.norm(rho0 - rho1) - math.sqrt(2 / rank)) < 1e-12
 
 
 def test_annulus_disk_region_is_not_annulus():
