@@ -213,14 +213,15 @@ def _mixture(Phi: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return (Phi * weights) @ Phi.conj().T
 
 
-Probe = Callable[[float], Tuple[float, float]]
+Probe = Callable[[float], Tuple[float, float, float]]
 
 
 def _line_search(probe: Probe, t_max: float, slope0: float) -> Optional[float]:
     """Minimizer over [0, t_max] of a convex function f of t, given probe(t) =
-    (f'(t), f''(t)) and the slope at 0 from the caller's scores, which stay
-    accurate where a probe's rounding grows with sigma's condition; the
-    slope stays resolvable long after value differences drown in rounding.
+    (f'(t), f''(t), the rounding of f'(t)) and the slope at 0 from the
+    caller's scores, which stay accurate where a probe's rounding grows with
+    sigma's condition; the slope stays resolvable long after value
+    differences drown in rounding.
 
     The first trial point is Newton's step on the slope from 0.  Later ones
     are secant steps on h = f' / sqrt(f'') through the last two probes: h is
@@ -228,8 +229,10 @@ def _line_search(probe: Probe, t_max: float, slope0: float) -> Optional[float]:
     linear term), where Newton on the slope only doubles its distance to the
     barrier per step.  A point outside the bracket of the root is replaced
     by t_max, if not yet probed, or by bisection.  A probe at a singular
-    point reports an infinite slope, and a slope within its rounding as 0,
-    which ends the search.  None when slope0 is not negative.
+    point reports an infinite slope.  A slope within its rounding ends the
+    search with one Newton step on it, kept in the bracket: that step's
+    error is the slope's actual rounding over f'', where the point itself
+    may be off by the bound on it.  None when slope0 is not negative.
     """
     if not slope0 < 0.0:
         return None
@@ -247,8 +250,10 @@ def _line_search(probe: Probe, t_max: float, slope0: float) -> Optional[float]:
                     return lo
         elif abs(new - t) <= LINE_SEARCH_RTOL * new:
             return new
-        s, c = probe(new)
-        if s == 0.0 or (s < 0.0 and new == t_max):
+        s, c, rounding = probe(new)
+        if abs(s) <= rounding:
+            return min(max(new - s / c, lo), hi) if 0.0 < c < math.inf else new
+        if s < 0.0 and new == t_max:
             return new
         if s < 0.0:
             lo = new
@@ -285,8 +290,8 @@ def _frank_wolfe(Phi: np.ndarray, model: Callable[[np.ndarray], _Objective]
     model(sigma) evaluates the objective at sigma (_Smax, _RelEntropy): its
     value, scores(Phi) (the derivatives along the weights of Phi's columns),
     hessian(Phi) (the second derivatives in those weights), and along(D), a
-    probe of slope and curvature along sigma + tD that _line_search turns
-    into an exact line search.
+    probe of slope, curvature and the slope's rounding along sigma + tD that
+    _line_search turns into an exact line search.
 
     The run starts on the atoms that carry the computational basis states,
     which for a stabilizer dictionary is the maximally mixed state.  Each
@@ -419,21 +424,20 @@ class _Smax:
         back = self.inv_l.conj().T @ U
         abs_d = np.abs(D)
 
-        def probe(t: float) -> Tuple[float, float]:
+        def probe(t: float) -> Tuple[float, float, float]:
             r = 1.0 + t * mu
             gone = r <= EIG_FLOOR   # directions in which sigma + tD is singular
             if gone.any():
                 # a barrier, unless psi's weight there is only rounding: then
                 # the floored sigma^-1 would not move f in its last digit
                 if np.sum(p[gone]) > EIG_FLOOR * EPS * np.sum(p):
-                    return math.inf, math.inf
+                    return math.inf, math.inf, 0.0
                 r = np.where(gone, 1.0, r)
             x = back @ np.where(gone, 0.0, b / r)
             slope = -float(np.vdot(x, D @ x).real)
             ax = np.abs(x)
-            if abs(slope) <= EPS * float(ax @ abs_d @ ax):   # its rounding
-                slope = 0.0
-            return slope, 2.0 * float(np.where(gone, 0.0, p) @ (mu * mu / (r * r * r)))
+            return (slope, 2.0 * float(np.where(gone, 0.0, p) @ (mu * mu / (r * r * r))),
+                    EPS * float(ax @ abs_d @ ax))
 
         return probe
 
@@ -534,7 +538,7 @@ class _RelEntropy:
         return -2.0 * H
 
     def along(self, D: np.ndarray) -> Probe:
-        def probe(t: float) -> Tuple[float, float]:
+        def probe(t: float) -> Tuple[float, float, float]:
             if t == 0.0:
                 vs, rho_t, (L1, R, D2) = self.vs, self.rho_t, self.diffs
             else:
@@ -547,9 +551,8 @@ class _RelEntropy:
             # rho_t is Hermitian, so sum_ij rho_ji T_ij = vdot(rho_t, T)
             slope = -np.vdot(rho_t, LD).real
             # Dt carries an error of about EPS max|Dt| in every entry
-            if abs(slope) <= EPS * np.abs(Dt).max() * np.sum(np.abs(rho_t) * L1):
-                slope = 0.0
-            return slope, -2.0 * np.vdot(rho_t, T).real
+            return (slope, -2.0 * np.vdot(rho_t, T).real,
+                    EPS * np.abs(Dt).max() * np.sum(np.abs(rho_t) * L1))
 
         return probe
 

@@ -346,10 +346,10 @@ def test_line_search_exact_on_quadratic_and_log_barrier(a, b, eps):
     # slope whose secant steps on f'/sqrt(f'') are exact; Newton on the
     # barrier's slope would only double t + eps per probe
     def quadratic(t):
-        return b + 2 * a * (t - 1.0), 2 * a
+        return b + 2 * a * (t - 1.0), 2 * a, 0.0
 
     def barrier(t):
-        return b - a / (t + eps), a / (t + eps) ** 2
+        return b - a / (t + eps), a / (t + eps) ** 2, 0.0
 
     for probe, root in ((quadratic, 1.0 - b / (2 * a)), (barrier, a / b - eps)):
         if root <= 0.0:
@@ -395,7 +395,7 @@ def test_objective_derivatives_agree(objective, spread):
     else:
         model = functools.partial(magic._RelEntropy, dense.density_of(psi))
     at = model(sigma)
-    slope, curv = at.along(D)(0.0)
+    slope, curv, _ = at.along(D)(0.0)
     assert abs(slope - at.scores(Phi) @ delta) <= 1e-12 * abs(slope)
     assert abs(curv - delta @ at.hessian(Phi) @ delta) <= 1e-10 * curv
     h = 1e-5
@@ -411,10 +411,10 @@ def test_objective_derivatives_agree(objective, spread):
 # the last ulp, so a different LAPACK build may move these by a step.
 PINNED_ITERATIONS = [
     pytest.param((1, 2), t_state(), 2, 2, id="T"),
-    pytest.param((2, 2), np.kron(t_state(), t_state()), 10, 9, id="TxT"),
+    pytest.param((2, 2), np.kron(t_state(), t_state()), 9, 9, id="TxT"),
 ] + [
     pytest.param((1, 2), random_state(2, 1, seed), smax, srel, id="random%d" % seed)
-    for seed, (smax, srel) in enumerate([(5, 3), (4, 3), (5, 4), (3, 1), (3, 2), (5, 3)])
+    for seed, (smax, srel) in enumerate([(5, 3), (4, 2), (5, 4), (3, 1), (3, 2), (5, 3)])
 ]
 
 
