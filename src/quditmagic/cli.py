@@ -115,8 +115,11 @@ def cmd_cover(args, config: RunConfig) -> int:
             group = covering.lift_phase_free(fam.q, fam.n, member)
             lines.append("# %s" % tag)
             lines.append(stabilizer.tableau_to_text(group.gens).rstrip("\n"))
-        with open(args.tableau_out, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
+        try:
+            with open(args.tableau_out, "w") as fh:
+                fh.write("\n".join(lines) + "\n")
+        except OSError as exc:
+            raise UsageError("cannot write --tableau-out file: %s" % exc)
     _emit(config, body)
     return status
 

@@ -25,6 +25,8 @@ def state_from_amplitudes(q: int, n: int, amps: Sequence[complex]) -> np.ndarray
     v = np.asarray(amps, dtype=complex)
     if v.shape != (q ** n,):
         raise ValueError("amplitude vector has wrong length")
+    if not np.isfinite(v).all():
+        raise ValueError("amplitudes must be finite")
     nrm = np.linalg.norm(v)
     if abs(nrm - 1.0) > 1e-12:
         raise ValueError("state vector is not normalized")

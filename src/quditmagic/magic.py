@@ -9,14 +9,18 @@ dictionary scan), relative entropy of magic, min log lambda with
 rho <= lambda*sigma over the hull and the generalized robustness
 log(2*lambda-1) at the same optimum (both for pure states), and the
 robustness LP.  S_rel, S_max-to-set and LGR come from one Frank-Wolfe
-engine over the hull weights: it starts on the computational basis states
-(sigma = I/d), and each iteration prices every dictionary state, takes a
-pairwise step from the worst active state to the best one, and a Newton
-step on the weights of the active states; a run that stalls on a singular
-face is reseeded.  Each objective supplies its scores, its Hessian on the
-active states and its slope and curvature along a direction (closed forms
-after one eigendecomposition for S_max, Daleckii-Krein divided differences
-of log for S_rel), and one exact line search serves both.
+engine over the hull weights: it starts from given hull weights, or on the
+computational basis states (sigma = I/d), and each iteration prices every
+dictionary state, takes a pairwise step from the worst active state to the
+best one, and a Newton step on the weights of the active states; a run
+that stalls on a singular face is reseeded.  Each objective supplies its
+scores, its Hessian on the active states and its slope and curvature along
+a direction (closed forms after one eigendecomposition for S_max,
+Daleckii-Krein divided differences of log for S_rel), and one exact line
+search serves both.  magic_report runs LF, LR, S_max/LGR and S_rel in
+that order, and starts each Frank-Wolfe run at the hull point where the
+one before it ended: S_max/LGR at the positive part of LR's
+decomposition, S_rel at S_max's optimum.
 
 Every measure is reported by one rule.  Its solver certifies a bracket
 [lower, upper] on its own objective: lambda for S_max and LGR, and
@@ -282,7 +286,8 @@ def _least_squares_symmetric(A: np.ndarray, b: np.ndarray) -> np.ndarray:
 _Objective = Union["_Smax", "_RelEntropy"]
 
 
-def _frank_wolfe(Phi: np.ndarray, model: Callable[[np.ndarray], _Objective]
+def _frank_wolfe(Phi: np.ndarray, model: Callable[[np.ndarray], _Objective],
+                 start: Optional[np.ndarray] = None
                  ) -> Tuple[np.ndarray, _Objective, float, int]:
     """Minimize a convex function of sigma over mixtures of the projectors
     onto Phi's columns (the atoms).
@@ -293,12 +298,15 @@ def _frank_wolfe(Phi: np.ndarray, model: Callable[[np.ndarray], _Objective]
     probe of slope, curvature and the slope's rounding along sigma + tD that
     _line_search turns into an exact line search.
 
-    The run starts on the atoms that carry the computational basis states,
-    which for a stabilizer dictionary is the maximally mixed state.  Each
-    iteration prices all atoms, takes a pairwise step that moves weight from
-    the away atom (the worst active one) to the Frank-Wolfe atom (the best
-    one) (Lacoste-Julien & Jaggi 2015), then one Newton step on the
-    active-set weights: the least-squares solution of
+    The run starts at the hull weights start (nonnegative, normalized here,
+    and at which the objective must be finite), or without them on the
+    atoms that carry the computational basis states, which for a stabilizer
+    dictionary is the maximally mixed state.  The start only moves where
+    the run begins: the steps, the reseed and the certificate are the same
+    from any start.  Each iteration prices all atoms, takes a pairwise step
+    that moves weight from the away atom (the worst active one) to the
+    Frank-Wolfe atom (the best one) (Lacoste-Julien & Jaggi 2015), then one
+    Newton step on the active-set weights: the least-squares solution of
     [H 1; 1^T 0][delta; mu] = [-g; 0], cut off where a weight reaches 0 and
     searched exactly like the pairwise step.
 
@@ -319,8 +327,11 @@ def _frank_wolfe(Phi: np.ndarray, model: Callable[[np.ndarray], _Objective]
     """
     d, K = Phi.shape
     basis = np.argmax(np.abs(Phi), axis=1)   # the computational basis states
-    weights = np.zeros(K)
-    weights[basis] = 1.0
+    if start is None:
+        weights = np.zeros(K)
+        weights[basis] = 1.0
+    else:
+        weights = np.array(start, dtype=float)
     weights /= weights.sum()
     it = 0
     mark = math.inf
@@ -443,14 +454,17 @@ class _Smax:
 
 
 def smax_lgr_pure(psi: np.ndarray, dic: StabilizerDictionary,
-                  config: RunConfig = DEFAULT_CONFIG) -> SmaxResult:
+                  config: RunConfig = DEFAULT_CONFIG,
+                  start: Optional[np.ndarray] = None) -> SmaxResult:
     """S_max-to-set = log min_sigma psi^dag sigma^-1 psi over the hull (the
     least lam with |psi><psi| <= lam sigma) and LGR = log(2 lam - 1).
 
     f(w) = psi^dag sigma(w)^-1 psi is convex in the hull weights w, so
-    Frank-Wolfe certifies the bracket [max(f - gap, 1), f] on lam.
+    Frank-Wolfe certifies the bracket [max(f - gap, 1), f] on lam.  start
+    is the engine's start (_frank_wolfe): hull weights whose sigma has psi
+    in its range, or None for the computational basis.
     """
-    weights, at, gap, it = _frank_wolfe(dic.matrix, lambda sigma: _Smax(psi, sigma))
+    weights, at, gap, it = _frank_wolfe(dic.matrix, lambda sigma: _Smax(psi, sigma), start)
     lam = max(at.value, 1.0)
     low = max(lam - gap, 1.0)
     return SmaxResult(
@@ -558,11 +572,14 @@ class _RelEntropy:
 
 
 def rel_entropy_magic(rho: np.ndarray, dic: StabilizerDictionary,
-                      config: RunConfig = DEFAULT_CONFIG) -> FwResult:
+                      config: RunConfig = DEFAULT_CONFIG,
+                      start: Optional[np.ndarray] = None) -> FwResult:
     """Frank-Wolfe minimization of S(rho || sigma) over the hull: the
     bracket [f - gap, f] in nats, f = S(rho || sigma) at the returned sigma.
+    start is the engine's start (_frank_wolfe): hull weights whose sigma
+    holds rho's support in its range, or None for the computational basis.
     """
-    _, at, gap, it = _frank_wolfe(dic.matrix, lambda sigma: _RelEntropy(rho, sigma))
+    _, at, gap, it = _frank_wolfe(dic.matrix, lambda sigma: _RelEntropy(rho, sigma), start)
     ln_b = math.log(config.base_value())
     upper = at.value - ln_b * dense.vn_entropy(rho, config)
     return FwResult(
@@ -744,20 +761,40 @@ def magic_report(rho: np.ndarray, dic: StabilizerDictionary,
     LF, S_max-to-set and LGR are only computed for (numerically) pure
     inputs and are None otherwise; the mixed-state versions are deliberately
     not solved here, the certificate machinery covers those uses.
+
+    The solvers run in the order LF, LR, S_max/LGR, S_rel, and each
+    Frank-Wolfe run starts at the last hull point the report reached, or on
+    the computational basis when there is none.  Both starts keep the
+    objective finite:
+    - S_max/LGR start at LR's positive part sigma_+, the normalized
+      clip(coeffs, 0).  The decomposition rho = (1 + R) sigma_+ - R sigma_-
+      gives rho <= (1 + R) sigma_+, so psi lies in sigma_+'s range and the
+      starting lam is at most 1 + R.
+    - S_rel starts at S_max's optimum sigma*, or at sigma_+ when S_max did
+      not run.  psi^dag sigma*^-1 psi = lam is finite, so psi lies in
+      sigma*'s range; rho <= (1 + R) sigma_+ holds for a mixed rho too.
+      Either way rho's support lies in sigma's, and S(rho || sigma) is
+      finite.
+    The start moves neither a certificate nor a stopping rule: every value
+    is the same optimum within its gap.
     """
     lf = s_rel = s_max_set = lgr = lr = None
+    start = None   # the last hull weights the report reached
     w, v = np.linalg.eigh(rho)
     psi = v[:, -1] if w[-1] > 1.0 - 1e-10 else None
     if "lf" in measures and psi is not None:
         val, _ = lf_pure(psi, dic, config)
         lf = _bracket(val, val, float)   # the scan attains the maximum
-    if "srel" in measures:
-        s_rel = rel_entropy_magic(rho, dic, config).s_rel
+    if "lr" in measures:
+        res = lr_lp(rho, dic, config)
+        lr = res.lr
+        start = np.clip(res.coeffs, 0.0, None)
     if ("smax" in measures or "lgr" in measures) and psi is not None:
-        res = smax_lgr_pure(psi, dic, config)
+        res = smax_lgr_pure(psi, dic, config, start)
         s_max_set = res.s_max_set if "smax" in measures else None
         lgr = res.lgr if "lgr" in measures else None
-    if "lr" in measures:
-        lr = lr_lp(rho, dic, config).lr
+        start = res.weights
+    if "srel" in measures:
+        s_rel = rel_entropy_magic(rho, dic, config, start).s_rel
     return MagicReport(lf=lf, s_rel=s_rel, s_max_set=s_max_set, lgr=lgr, lr=lr,
                       log_base=config.log_base)

@@ -110,6 +110,15 @@ def test_cover_tableau_out(capsys, tmp_path):
         assert stabilizer.validate(gens).order == 2
 
 
+def test_cover_unwritable_tableau_out_is_usage_error(capsys, tmp_path):
+    path = tmp_path / "missing" / "x.txt"
+    code, out, err = run_cli(
+        capsys, ["cover", "--q", "2", "--n", "1", "--tableau-out", str(path)]
+    )
+    assert code == cli.EXIT_USAGE, err
+    assert "usage error: cannot write --tableau-out file" in err and out == ""
+
+
 def test_magic_t_state(capsys, tmp_path):
     state = t_state_path(tmp_path)
     body = run_json(capsys, ["magic", "--state", state])
@@ -279,6 +288,16 @@ def test_magic_bad_header_is_data_error(capsys, tmp_path):
     code, out, err = run_cli(capsys, ["magic", "--state", str(path)])
     assert code == cli.EXIT_DATA
     assert "data error" in err
+
+
+@pytest.mark.parametrize("measures", [[], ["--measures", "lf,srel,smax"]])
+def test_magic_non_finite_amplitude_is_data_error(capsys, tmp_path, measures):
+    # rejected when the state is read, before any solver runs
+    path = tmp_path / "nan.json"
+    path.write_text('{"q": 2, "n": 1, "amplitudes": [[NaN, 0.0], [1.0, 0.0]]}')
+    code, out, err = run_cli(capsys, ["magic", "--state", str(path)] + measures)
+    assert code == cli.EXIT_DATA
+    assert "data error" in err and "finite" in err and out == ""
 
 
 @pytest.mark.parametrize("header", ["1 1 1\n1 0 0\n", "3 2 0\n"])

@@ -34,6 +34,13 @@ def test_state_from_amplitudes_validation():
         dense.state_from_amplitudes(2, 0, [1.0])
 
 
+@pytest.mark.parametrize("bad", [math.nan, complex(0.0, math.nan), math.inf])
+def test_state_from_amplitudes_rejects_non_finite(bad):
+    # a NaN norm compares false with every bound, so it needs its own check
+    with pytest.raises(ValueError, match="finite"):
+        dense.state_from_amplitudes(2, 1, [bad, 1.0])
+
+
 def test_partial_trace_product_state():
     # product of two distinct single-qutrit states factorizes exactly
     a = np.array([1, 1, 1], dtype=complex) / math.sqrt(3)

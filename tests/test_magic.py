@@ -652,6 +652,61 @@ def test_magic_report_selection(dic12):
     assert rep2.lf is None and rep2.s_max_set is None and rep2.lgr is None
 
 
+def shared_start_states():
+    t, tt = t_state(), np.kron(t_state(), t_state())
+    return [
+        pytest.param((1, 2), dense.density_of(t), id="T"),
+        pytest.param((2, 2), dense.density_of(tt), id="TxT"),
+        pytest.param((2, 2), dense.density_of(np.array([1, 1, 1, 1j]) / 2), id="11i1"),
+        pytest.param((2, 2), dense.density_of(np.array([1, 0, 0, 1]) / math.sqrt(2)),
+                     id="stabilizer"),
+        pytest.param((2, 2), 0.8 * dense.density_of(tt) + 0.05 * np.eye(4), id="TxT-depolarized"),
+    ]
+
+
+@pytest.mark.parametrize("measures", [magic.ALL_MEASURES, ("srel", "smax", "lgr"), ("srel", "lr")],
+                         ids=["all", "srel-smax-lgr", "srel-lr"])
+@pytest.mark.parametrize("size,rho", shared_start_states())
+def test_magic_report_shared_start_matches_cold_solvers(size, rho, measures, dic12, lr_dics):
+    # each Frank-Wolfe run of the report starts where the last one ended;
+    # the standalone solvers start on the computational basis, and both
+    # reach the same statuses and the same values within their gaps
+    dic = dic12 if size == (1, 2) else lr_dics[size]
+    rep = magic.magic_report(rho, dic, measures)
+    w, v = np.linalg.eigh(rho)
+    psi = v[:, -1] if w[-1] > 1.0 - 1e-10 else None
+    cold = {"srel": magic.rel_entropy_magic(rho, dic).s_rel}
+    if "lr" in measures:
+        cold["lr"] = magic.lr_lp(rho, dic).lr
+    if psi is not None:
+        sm = magic.smax_lgr_pure(psi, dic)
+        cold["smax"], cold["lgr"] = sm.s_max_set, sm.lgr
+        if "lf" in measures:
+            cold["lf"] = magic.MeasureValue(magic.lf_pure(psi, dic)[0], magic.STATUS_EXACT, 0.0)
+    got = {"lf": rep.lf, "srel": rep.s_rel, "smax": rep.s_max_set, "lgr": rep.lgr, "lr": rep.lr}
+    assert {k for k, mv in got.items() if mv is not None} == set(cold) & set(measures)
+    for name in set(cold) & set(measures):
+        mv, ref = got[name], cold[name]
+        assert mv.status == ref.status, name
+        assert abs(mv.value - ref.value) <= max(mv.gap, ref.gap, 1e-12), name
+
+
+def test_shared_start_saves_iterations(lr_dics):
+    # on T x T the S_max optimum is already S_rel's to within GAP_TOL, and
+    # LR's positive part is three S_max iterations away from it; both cold
+    # runs take 9 (test_frank_wolfe_iteration_counts)
+    dic = lr_dics[(2, 2)]
+    psi = np.kron(t_state(), t_state())
+    rho = dense.density_of(psi)
+    start = np.clip(magic.lr_lp(rho, dic).coeffs, 0.0, None)
+    sm = magic.smax_lgr_pure(psi, dic, start=start)
+    assert sm.iterations == 3
+    assert sm.s_max_set.status == magic.STATUS_EXACT
+    fw = magic.rel_entropy_magic(rho, dic, start=magic.smax_lgr_pure(psi, dic).weights)
+    assert fw.iterations == 0
+    assert fw.s_rel.status == magic.STATUS_EXACT
+
+
 def test_rel_entropy_step_probes_each_point_once():
     # the search never probes a point twice, and the secant steps on
     # f'/sqrt(f'') take few probes
