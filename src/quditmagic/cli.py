@@ -50,7 +50,9 @@ def _report(config: RunConfig, body: dict) -> dict:
 
 
 def _emit(config: RunConfig, body: dict) -> None:
-    text = json.dumps(_report(config, body), sort_keys=True, indent=2) + "\n"
+    # reports are strict JSON: a non-finite value raises, never prints Infinity
+    text = json.dumps(_report(config, body), sort_keys=True, indent=2,
+                      allow_nan=False) + "\n"
     if config.output:
         try:
             with open(config.output, "w") as fh:

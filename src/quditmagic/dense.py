@@ -52,24 +52,6 @@ def partial_trace(rho: np.ndarray, q: int, n: int, keep: Sequence[int]) -> np.nd
     return tens.reshape(q ** m, q ** m)
 
 
-def fidelity_root(rho: np.ndarray, sigma: np.ndarray) -> float:
-    """Root fidelity F = || sqrt(rho) sqrt(sigma) ||_1."""
-    s = _psd_sqrt(rho) @ _psd_sqrt(sigma)
-    return float(np.sum(np.linalg.svd(s, compute_uv=False)))
-
-
-def fidelity_sq(rho: np.ndarray, sigma: np.ndarray) -> float:
-    """The squared quantity F(rho,sigma) = ||sqrt(rho) sqrt(sigma)||_1^2."""
-    return fidelity_root(rho, sigma) ** 2
-
-
-def _psd_sqrt(rho: np.ndarray) -> np.ndarray:
-    w, v = np.linalg.eigh(rho)
-    if w.min() < -1e-8:
-        raise ValueError("matrix is not PSD within tolerance")
-    w = np.clip(w, 0.0, None)
-    return (v * np.sqrt(w)) @ v.conj().T
-
 def trace_distance(rho: np.ndarray, sigma: np.ndarray) -> float:
     """Full 1-norm ||rho - sigma||_1 (NOT halved)."""
     w = np.linalg.eigvalsh(rho - sigma)

@@ -34,7 +34,6 @@ Also the patch-certificate machinery turning trace-distance lower bounds
 on small patches into global fidelity/entropy lower bounds.
 """
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -608,70 +607,49 @@ def distance_to_sps(rho: np.ndarray, n: int, q: int,
     return best, witness
 
 
-def distance_to_hull_lower(rho: np.ndarray, dic: StabilizerDictionary,
-                           iterations: int = 200) -> Tuple[float, np.ndarray]:
-    """Certified lower bound on min_{sigma in hull} ||rho - sigma||_1.
-
-    Subgradient ascent on W -> Tr(W rho) - max_phi Tr(W phi) over the
-    operator-norm ball ||W||_inf <= 1; any iterate's objective is a valid
-    bound, the best one is returned with its witness."""
-    Phi = dic.matrix
-
-    def objective(W: np.ndarray) -> float:
-        top = float(np.max(_expectations(dic, W)))
-        return float(np.real(np.trace(W @ rho))) - top
-
-    def clip(W: np.ndarray) -> np.ndarray:
-        w, v = np.linalg.eigh(W)
-        return (v * np.clip(w, -1.0, 1.0)) @ v.conj().T
-
-    W = clip(rho - np.eye(rho.shape[0]) / rho.shape[0])
-    best = max(0.0, objective(W))
-    best_W = W
-    for k in range(1, iterations + 1):
-        top = int(np.argmax(_expectations(dic, W)))
-        W = clip(W + (1.0 / math.sqrt(k)) * (rho - np.outer(Phi[:, top], Phi[:, top].conj())))
-        val = objective(W)
-        if val > best:
-            best = val
-            best_W = W
-    return best, best_W
-
-
 # ---------------------------------------------------------------------------
 # Stabilizer-measurement distinguishability
 # ---------------------------------------------------------------------------
+
+def _pauli_transform(M: np.ndarray, q: int, n: int) -> np.ndarray:
+    """T[a, b] = Tr((Z^a X^b)^dag M) = sum_k omega^{-a.k} M[k, k - b] for
+    every label, on axes (a_0..a_{n-1}, b_0..b_{n-1}) so that T.flat runs in
+    itertools.product(range(q), repeat=2n) order: one n-dimensional FFT over
+    k for each shift b."""
+    sites = list(range(n - 1, -1, -1))  # the row-major reshape puts site 0 last
+    M = M.reshape([q] * (2 * n)).transpose(sites + [n + s for s in sites])
+    grid = np.indices([q] * (2 * n))
+    k, b = grid[:n], grid[n:]
+    diag = M[tuple(k) + tuple((k - b) % q)]  # diag[k, b] = M[k, k - b]
+    return np.fft.fftn(diag, axes=tuple(range(n)))
+
 
 def sm_distinguishing_pauli(rho: np.ndarray, sigma: np.ndarray, q: int, n: int,
                             config: RunConfig = DEFAULT_CONFIG
                             ) -> Tuple[pauli.PauliLabel, float]:
     """The Pauli P maximizing |Tr(P^dag (rho-sigma))| and the 1-norm distance
     of the outcome distributions of its spectral measurement; always at least
-    ||rho - sigma||_1 / q^n."""
-    delta_mat = rho - sigma
-    best = None
-    best_val = -1.0
-    for ab in itertools.product(range(q), repeat=2 * n):
-        P = pauli.label(q, n, ab[:n], ab[n:], 0)
-        val = abs(np.trace(pauli.to_dense(P, config).conj().T @ delta_mat))
-        if val > best_val + 1e-12:
-            best_val = val
-            best = P
-    order = pauli.order(best)
-    top = pauli.power(best, order)   # proportional to identity
-    # eigenvalues of P: exp(i pi e / (q order)) * order-th roots of unity
+    ||rho - sigma||_1 / q^n.  rho and sigma are Hermitian q^n x q^n matrices.
+    P is the first label, in itertools.product order, within 1e-12 of the
+    largest |Tr|."""
     dim = q ** n
-    powers = [pauli.to_dense(pauli.power(best, m), config) for m in range(order)]
-    base_phase = np.exp(1j * np.pi * top.c / (q * order))
-    dist = 0.0
-    for k in range(order):
-        lam = base_phase * np.exp(2j * np.pi * k / order)
-        proj = np.zeros((dim, dim), dtype=complex)
-        for m in range(order):
-            proj += lam ** (-m) * powers[m]
-        proj /= order
-        dist += abs(np.real(np.trace(proj @ delta_mat)))
-    return best, float(dist)
+    check_dense(dim, config)
+    if rho.shape != (dim, dim) or sigma.shape != (dim, dim):
+        raise ValueError("rho and sigma must be %d x %d matrices" % (dim, dim))
+    T = _pauli_transform(rho - sigma, q, n)
+    mag = np.abs(T)
+    ab = [int(x) for x in np.unravel_index(np.argmax(mag >= mag.max() - 1e-12), T.shape)]
+    best = pauli.label(q, n, ab[:n], ab[n:], 0)
+    order = pauli.order(best)
+    # Tr(P^m (rho - sigma)) = omega_{2q}^{c_m} conj(T[m a, m b]), c_m the phase of P^m
+    traces = np.array([np.exp(1j * np.pi * pauli.power(best, m).c / q)
+                       * np.conj(T[tuple(m * x % q for x in ab)]) for m in range(order)])
+    # P^order = omega_{2q}^e I, so P has the eigenvalues
+    # lam_k = omega_{2q}^{(e + 2qk) / order}, with projectors sum_m lam_k^{-m} P^m / order
+    e = pauli.power(best, order).c
+    lam = np.exp(1j * np.pi * (e + 2 * q * np.arange(order)) / (q * order))
+    outcomes = np.real(lam[:, None] ** -np.arange(order) @ traces) / order
+    return best, float(np.sum(np.abs(outcomes)))
 
 
 # ---------------------------------------------------------------------------
@@ -722,18 +700,6 @@ def extensive_rel_entropy_bound(patches: Sequence[Tuple[float, int]],
         fsm_upper_from_distance(eps, D)  # the same checks on eps and D
         total_nat += eps * eps / (2.0 * D * D)
     return total_nat / math.log(config.base_value())
-
-
-def low_energy_lr_witness(psi: np.ndarray, psi_l: np.ndarray, f_l: float,
-                          config: RunConfig = DEFAULT_CONFIG) -> float:
-    """LR lower bound from the feasible dual operator |psi_l><psi_l| / f_l,
-    where f_l is the stabilizer fidelity of psi_l."""
-    if f_l <= 0.0:
-        raise ValueError("stabilizer fidelity must be positive")
-    arg = abs(np.vdot(psi_l, psi)) ** 2 / f_l
-    if arg <= 1.0:
-        return 0.0
-    return log_value(arg, config)
 
 
 # ---------------------------------------------------------------------------

@@ -165,13 +165,3 @@ def to_text(P: PauliLabel) -> str:
         P.c,
     )
 
-
-def from_text(line: str) -> PauliLabel:
-    parts = [p.strip() for p in line.split("|")]
-    if len(parts) != 4:
-        raise ValueError("malformed label line: %r" % (line,))
-    q, n = (int(x) for x in parts[0].split())
-    a = [int(x) for x in parts[1].split()] if parts[1] else []
-    b = [int(x) for x in parts[2].split()] if parts[2] else []
-    c = int(parts[3])
-    return label(q, n, a, b, c)

@@ -1,7 +1,7 @@
 """Stabilizer groups over Z_q and stabilizer projection states.
 
 Canonical forms, orders, membership, supported and locally generated
-subgroups, commutants, conjugated groups, exhaustive enumeration of
+subgroups, conjugated groups, exhaustive enumeration of
 stabilizer groups, information-convex extreme points, Pauli re-phasing, and
 the one place that turns a group into a state: the dense reference
 sps_dense, and sps_vector, which projects one basis state of a pure state's
@@ -323,28 +323,6 @@ def locally_generated(S: StabilizerGroup, balls: Sequence[Sequence[int]]) -> Sta
     if not gens:
         return trivial_group(S.q, S.n)
     return validate(gens)
-
-
-def commutant_on_region(S: StabilizerGroup, region: Sequence[int]) -> List[PauliLabel]:
-    """Generators of the Paulis supported on region commuting with all of S."""
-    _check_sites(S.n, region)
-    region = sorted(region)
-    m = len(region)
-    q = S.q
-    rows_c = [[-g.b[i] for i in region] + [g.a[i] for i in region] for g in S.gens]
-    kernel = linalg.right_kernel_mod(rows_c, q) if rows_c else linalg.identity_matrix(2 * m)
-    out = []
-    for v in kernel:
-        v = [x % q for x in v]
-        if not any(v):
-            continue
-        a = [0] * S.n
-        b = [0] * S.n
-        for idx, site in enumerate(region):
-            a[site] = v[idx]
-            b[site] = v[m + idx]
-        out.append(pauli.label(q, S.n, a, b, 0))
-    return out
 
 
 def restrict(S: StabilizerGroup, region: Sequence[int]) -> StabilizerGroup:

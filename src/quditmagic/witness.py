@@ -67,9 +67,9 @@ def mi_forbidden_window(rho: np.ndarray, q: int, n: int,
                         config: RunConfig = DEFAULT_CONFIG) -> MiWitnessVerdict:
     """Fires when I(A:B) lands strictly inside (tol, log p - tol), p the
     smallest prime divisor of q; a firing certifies that the state is not a
-    stabilizer projection state.  tol must be >= 0."""
-    if not tol >= 0:
-        raise InvalidInput("tol must be >= 0, got %r" % (tol,))
+    stabilizer projection state.  tol must be finite and >= 0."""
+    if not (math.isfinite(tol) and tol >= 0):
+        raise InvalidInput("tol must be finite and >= 0, got %r" % (tol,))
     _check_regions(n, A, B)
     p = smallest_prime_divisor(q)
     mi = dense.mutual_information(rho, q, n, A, B, config)

@@ -202,6 +202,7 @@ def test_rephase(capsys, tmp_path):
     M = pauli.to_dense(P)
     Z = pauli.to_dense(pauli.label(2, 1, [1], [0], 0))
     assert np.allclose(M @ Z @ M.conj().T, -Z, atol=1e-10)
+    assert body["pauli_text"] == pauli.to_text(P) == "2 1 | 0 | 1 | 0"
 
 
 def test_rephase_target_count_mismatch(capsys, tmp_path):
@@ -323,6 +324,7 @@ def test_witness_mi(capsys, tmp_path):
 
 @pytest.mark.parametrize("args", [
     ["mi", "--regionA", "0", "--regionB", "2", "--tol", "-0.5"],
+    ["mi", "--regionA", "0", "--regionB", "2", "--tol", "inf"],
     ["mi", "--regionA", "0", "--regionB", "7"],
     ["mi", "--regionA", "0", "--regionB", "-1"],
     ["mi", "--regionA", "0,0", "--regionB", "2"],

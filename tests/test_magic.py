@@ -1,4 +1,5 @@
 import functools
+import itertools
 import math
 
 import numpy as np
@@ -7,7 +8,7 @@ import scipy.optimize
 from hypothesis import example, given, settings, strategies as st
 
 from quditmagic import dense, magic, pauli, stabilizer
-from quditmagic.config import RunConfig
+from quditmagic.config import BudgetExceeded, RunConfig
 
 
 def t_state():
@@ -574,18 +575,6 @@ def test_distance_to_sps_bell():
     ) < 1e-12
 
 
-def test_distance_to_hull_lower(dic12):
-    rho = dense.density_of(t_state())
-    lower, W = magic.distance_to_hull_lower(rho, dic12, iterations=100)
-    assert lower > 0.1
-    # the witness respects the operator-norm ball
-    assert np.linalg.eigvalsh(W)[-1] <= 1 + 1e-9
-    assert np.linalg.eigvalsh(W)[0] >= -1 - 1e-9
-    # bound must not exceed the true distance to the smaller SPS set
-    true_dist, _ = magic.distance_to_sps(rho, 1, 2)
-    assert lower <= true_dist + 1e-9
-
-
 @pytest.mark.parametrize("seed", range(5))
 def test_sm_distinguishing_bound(seed):
     q, n = 2, 1
@@ -594,6 +583,76 @@ def test_sm_distinguishing_bound(seed):
     P, dist = magic.sm_distinguishing_pauli(rho, sigma, q, n)
     assert dist >= dense.trace_distance(rho, sigma) / q ** n - 1e-9
     assert dist <= dense.trace_distance(rho, sigma) + 1e-9
+
+
+def dense_sm_distinguishing_pauli(rho, sigma, q, n):
+    # reference: scan every dense Pauli, then build the winner's spectral
+    # projectors from its dense powers
+    delta_mat = rho - sigma
+    best = None
+    best_val = -1.0
+    for ab in itertools.product(range(q), repeat=2 * n):
+        P = pauli.label(q, n, ab[:n], ab[n:], 0)
+        val = abs(np.trace(pauli.to_dense(P).conj().T @ delta_mat))
+        if val > best_val + 1e-12:
+            best_val = val
+            best = P
+    order = pauli.order(best)
+    top = pauli.power(best, order)
+    dim = q ** n
+    powers = [pauli.to_dense(pauli.power(best, m)) for m in range(order)]
+    base_phase = np.exp(1j * np.pi * top.c / (q * order))
+    dist = 0.0
+    for k in range(order):
+        lam = base_phase * np.exp(2j * np.pi * k / order)
+        proj = np.zeros((dim, dim), dtype=complex)
+        for m in range(order):
+            proj += lam ** (-m) * powers[m]
+        proj /= order
+        dist += abs(np.real(np.trace(proj @ delta_mat)))
+    return best, float(dist)
+
+
+def random_density(q, n, rng):
+    G = rng.normal(size=(q ** n, q ** n)) + 1j * rng.normal(size=(q ** n, q ** n))
+    rho = G @ G.conj().T
+    return rho / np.trace(rho).real
+
+
+@pytest.mark.parametrize("q,n", [(2, 1), (2, 2), (3, 1), (3, 2), (4, 2), (6, 1), (2, 3)])
+def test_sm_distinguishing_pauli_matches_dense_reference(q, n):
+    rng = np.random.default_rng(100 * q + n)
+    for _ in range(4):
+        rho, sigma = random_density(q, n, rng), random_density(q, n, rng)
+
+        def overlap(P):
+            return abs(np.trace(pauli.to_dense(P).conj().T @ (rho - sigma)))
+
+        P, dist = magic.sm_distinguishing_pauli(rho, sigma, q, n)
+        P_ref, dist_ref = dense_sm_distinguishing_pauli(rho, sigma, q, n)
+        assert P == P_ref or abs(overlap(P) - overlap(P_ref)) < 1e-12
+        assert abs(dist - dist_ref) < 1e-12
+
+
+@pytest.mark.parametrize("q,n", [(2, 2), (3, 2), (2, 3)])
+def test_pauli_transform_matches_dense_traces(q, n):
+    # every label's Tr(P^dag M), for an M that is not Hermitian
+    rng = np.random.default_rng(q + n)
+    M = rng.normal(size=(q ** n, q ** n)) + 1j * rng.normal(size=(q ** n, q ** n))
+    T = magic._pauli_transform(M, q, n)
+    assert T.shape == (q,) * (2 * n)
+    for ab in itertools.product(range(q), repeat=2 * n):
+        P = pauli.label(q, n, ab[:n], ab[n:], 0)
+        assert abs(T[ab] - np.trace(pauli.to_dense(P).conj().T @ M)) < 1e-12
+
+
+def test_sm_distinguishing_pauli_checks_its_input():
+    rho = np.eye(8) / 8
+    with pytest.raises(ValueError):
+        magic.sm_distinguishing_pauli(rho, rho, 2, 2)
+    with pytest.raises(BudgetExceeded):
+        magic.sm_distinguishing_pauli(np.eye(4) / 4, np.eye(4) / 4, 2, 2,
+                                      RunConfig(dense_limit=3))
 
 
 def test_fsm_upper_from_distance():
@@ -626,18 +685,6 @@ def test_extensive_rel_entropy_bound():
     for D in (0, 1):
         with pytest.raises(ValueError, match="patch dimension"):
             magic.extensive_rel_entropy_bound([(0.5, D)])
-
-
-def test_low_energy_lr_witness():
-    psi = t_state()
-    f_l = 2 ** (-T_LF)
-    # perfect overlap recovers log(1/f)
-    assert abs(magic.low_energy_lr_witness(psi, psi, f_l) - T_LF) < 1e-10
-    # orthogonal approximation gives the trivial bound
-    perp = np.array([-psi[1].conj(), psi[0].conj()])
-    assert magic.low_energy_lr_witness(perp, psi, f_l) == 0.0
-    with pytest.raises(ValueError):
-        magic.low_energy_lr_witness(psi, psi, 0.0)
 
 
 def test_magic_report_selection(dic12):

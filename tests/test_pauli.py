@@ -110,18 +110,6 @@ def test_apply_to_state_matches_matrix(t):
     )
 
 
-@settings(max_examples=40, deadline=None)
-@given(label_strategy)
-def test_text_round_trip(t):
-    P = mk(t)
-    assert pauli.from_text(pauli.to_text(P)) == P
-
-
-def test_from_text_rejects_malformed():
-    with pytest.raises(ValueError):
-        pauli.from_text("2 1 | 0 | 1")
-
-
 def test_label_shape_check():
     with pytest.raises(pauli.ShapeMismatch):
         pauli.label(2, 2, [0], [0, 1])

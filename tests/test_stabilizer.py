@@ -417,10 +417,6 @@ def test_locally_generated_and_commutant():
     )
     loc = stabilizer.locally_generated(S, [[0, 1], [1, 2]])
     assert loc.order == 4
-    comm = stabilizer.commutant_on_region(S, [0, 1, 2])
-    for P in comm:
-        for g in S.gens:
-            assert pauli.commutation_exponent(P, g) == 0
 
 
 def test_restrict_relabels():
@@ -450,12 +446,6 @@ def test_restrict_rejects_sites_outside_the_register():
     S = stabilizer.validate([lbl(2, 2, [1, 0], [0, 0]), lbl(2, 2, [0, 1], [0, 0])])
     with pytest.raises(ValueError, match="5"):
         stabilizer.restrict(S, [0, 1, 5])
-
-
-def test_commutant_rejects_sites_outside_the_register():
-    S = stabilizer.validate([lbl(2, 2, [1, 0], [0, 0]), lbl(2, 2, [0, 1], [0, 0])])
-    with pytest.raises(ValueError, match="5"):
-        stabilizer.commutant_on_region(S, [5])
 
 
 # sha256 over repr((gens as (a, b, c), order, key)) of every enumerated group

@@ -78,6 +78,7 @@ def test_window_never_fires_on_the_window_edge():
 @pytest.mark.parametrize("kwargs", [
     dict(A=[0], B=[2], tol=-0.5),
     dict(A=[0], B=[2], tol=float("nan")),
+    dict(A=[0], B=[2], tol=float("inf")),
     dict(A=[0], B=[7]),
     dict(A=[0], B=[-1]),
     dict(A=[0, 0], B=[2]),
