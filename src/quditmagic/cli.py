@@ -176,7 +176,7 @@ def cmd_rephase(args, config: RunConfig) -> int:
     return EXIT_OK
 
 
-def _parse_pairs(text: str) -> list:
+def _parse_pairs(text: str, q: int) -> list:
     pairs = []
     for chunk in text.split(";"):
         try:
@@ -185,13 +185,15 @@ def _parse_pairs(text: str) -> list:
             nums = []
         if len(nums) != 4:
             raise UsageError("each pair is a1,b1,a2,b2 with integer entries")
+        if any(x not in range(q) for x in nums):
+            raise UsageError("pair entries must lie in 0..q-1, got %s" % chunk.strip())
         pairs.append((toric.AnyonType(nums[0], nums[1]),
                       toric.AnyonType(nums[2], nums[3])))
     return pairs
 
 
 def cmd_toric(args, config: RunConfig) -> int:
-    pairs = _parse_pairs(args.pairs) if getattr(args, "pairs", None) else None
+    pairs = _parse_pairs(args.pairs, args.q) if getattr(args, "pairs", None) else None
     try:
         code = toric.build_toric(args.q, args.lx, args.ly)
         if args.toric_cmd == "smatrix":

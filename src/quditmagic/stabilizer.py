@@ -361,15 +361,27 @@ class StabilizerProjectionState(NamedTuple):
 
 
 def sps_dense(state: StabilizerProjectionState, config: RunConfig = DEFAULT_CONFIG) -> np.ndarray:
-    """Dense density matrix: the product of the generator projectors P(g),
-    normalized to trace 1.  Equals (1/q^n) sum_{s in S} s."""
+    """Dense density matrix (1/q^n) sum_{s in S} s, the normalized projector
+    prod_g P(g), summed over the group's elements in O(|S| q^n).
+
+    Each element omega_{2q}^c Z^a X^b has one entry per column: it maps
+    column k to row k + b (per site mod q, little-endian) with the value
+    omega_{2q}^{c + 2 a.(k + b)}, so no per-element matrix is formed."""
     S = state.group
-    dim = S.q ** S.n
+    q, n = S.q, S.n
+    dim = q ** n
     check_dense(dim, config)
+    cols = np.arange(dim)
+    digits = cols // q ** np.arange(n)[:, None] % q   # digits[i, k]: site i of k
+    place = q ** np.arange(n)
+    roots = np.exp(1j * np.pi * np.arange(2 * q) / q)
     acc = np.zeros((dim, dim), dtype=complex)
     for s in elements(S):
-        acc += pauli.to_dense(s, config)
-    return acc / dim
+        shifted = (digits + np.array(s.b)[:, None]) % q
+        exps = (s.c + 2 * (np.array(s.a) @ shifted)) % (2 * q)
+        acc[place @ shifted, cols] += roots[exps]
+    acc /= dim
+    return acc
 
 
 @functools.lru_cache(maxsize=16)

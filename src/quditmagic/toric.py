@@ -17,7 +17,7 @@ import cmath
 import functools
 import math
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple, Union
+from typing import Dict, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -354,30 +354,90 @@ def crossing_numbers(paths: SmatrixPaths) -> Tuple[int, int]:
     return x1, x2
 
 
+def _oracle_phase(q: int, crossings: Tuple[int, int], t1: AnyonType,
+                  t2: AnyonType) -> complex:
+    x1, x2 = crossings
+    e = (t1.a * t2.b * x1 - t1.b * t2.a * x2) % q
+    return cmath.exp(2j * cmath.pi * e / q)
+
+
 def crossing_phase_oracle(lat: ToricLattice, t1: AnyonType, t2: AnyonType,
                           paths: Optional[SmatrixPaths] = None) -> complex:
     """Braiding phase predicted combinatorially: omega to the symplectic
     crossing number of the V loop with the lower W string."""
     if paths is None:
         paths = smatrix_paths(lat)
-    x1, x2 = crossing_numbers(paths)
-    e = (t1.a * t2.b * x1 - t1.b * t2.a * x2) % lat.q
-    return cmath.exp(2j * cmath.pi * e / lat.q)
+    return _oracle_phase(lat.q, crossing_numbers(paths), t1, t2)
+
+
+class _TypeStrings(NamedTuple):
+    """One type's strings as the braiding product uses them."""
+
+    v_d: PauliLabel
+    v_u_inv: PauliLabel
+    w_d: PauliLabel
+    w_u_inv: PauliLabel
+
+    @property
+    def l_v(self) -> PauliLabel:
+        return pauli.compose(self.v_u_inv, self.v_d)
+
+    @property
+    def l_w(self) -> PauliLabel:
+        return pauli.compose(self.w_u_inv, self.w_d)
+
+
+def _type_strings(lat: ToricLattice, t: AnyonType, paths: SmatrixPaths) -> _TypeStrings:
+    return _TypeStrings(
+        v_d=anyon_string(lat, t, paths.v_d),
+        v_u_inv=pauli.inverse(anyon_string(lat, t, paths.v_u)),
+        w_d=anyon_string(lat, t, paths.w_d),
+        w_u_inv=pauli.inverse(anyon_string(lat, t, paths.w_u)),
+    )
+
+
+def _braid_operator(s1: _TypeStrings, s2: _TypeStrings) -> PauliLabel:
+    """O = W_u^-1 V_u^-1 V_d W_d with t1's V strings and t2's W strings."""
+    return pauli.compose(s2.w_u_inv, pauli.compose(s1.v_u_inv, pauli.compose(s1.v_d, s2.w_d)))
 
 
 def _string_quartet(lat: ToricLattice, t1: AnyonType, t2: AnyonType,
                     paths: SmatrixPaths):
-    v_d = anyon_string(lat, t1, paths.v_d)
-    v_u = anyon_string(lat, t1, paths.v_u)
-    w_d = anyon_string(lat, t2, paths.w_d)
-    w_u = anyon_string(lat, t2, paths.w_u)
-    O = pauli.compose(
-        pauli.inverse(w_u),
-        pauli.compose(pauli.inverse(v_u), pauli.compose(v_d, w_d)),
-    )
-    l_v = pauli.compose(pauli.inverse(v_u), v_d)
-    l_w = pauli.compose(pauli.inverse(w_u), w_d)
-    return O, l_v, l_w
+    s1, s2 = _type_strings(lat, t1, paths), _type_strings(lat, t2, paths)
+    return _braid_operator(s1, s2), s1.l_v, s2.l_w
+
+
+class _Braiding:
+    """Braiding phases on one ground group.  Each type, reduced mod q, gets
+    its strings and the exponents of its closed loops l_v = V_u^-1 V_d and
+    l_w = W_u^-1 W_d once; a pair then costs the three compositions of its
+    four-string product and one expectation exponent."""
+
+    def __init__(self, lat: ToricLattice, paths: SmatrixPaths, group: StabilizerGroup):
+        self.lat, self.paths, self.group = lat, paths, group
+        self.types: Dict[Tuple[int, int], Tuple[_TypeStrings, int, int]] = {}
+
+    def _exponent(self, op: PauliLabel) -> int:
+        e = stabilizer.expectation_exponent(self.group, op)
+        if e is None:
+            raise InvalidPath("a string loop is not contractible on this geometry")
+        return e
+
+    def _type(self, t: AnyonType) -> Tuple[_TypeStrings, int, int]:
+        q = self.lat.q
+        key = (t.a % q, t.b % q)
+        entry = self.types.get(key)
+        if entry is None:
+            s = _type_strings(self.lat, AnyonType(*key), self.paths)
+            entry = self.types[key] = (s, self._exponent(s.l_v), self._exponent(s.l_w))
+        return entry
+
+    def phase(self, t1: AnyonType, t2: AnyonType) -> complex:
+        s1, e_v, _ = self._type(t1)
+        s2, _, e_w = self._type(t2)
+        q = self.lat.q
+        e = (self._exponent(_braid_operator(s1, s2)) - e_v - e_w) % (2 * q)
+        return cmath.exp(1j * cmath.pi * e / q)
 
 
 def s_matrix_element(code: ToricCode, t1: AnyonType, t2: AnyonType,
@@ -394,15 +454,7 @@ def s_matrix_element(code: ToricCode, t1: AnyonType, t2: AnyonType,
         paths = smatrix_paths(lat)
     if group is None:
         group = ground_group(code)
-    O, l_v, l_w = _string_quartet(lat, t1, t2, paths)
-    exps = []
-    for op in (O, l_v, l_w):
-        e = stabilizer.expectation_exponent(group, op)
-        if e is None:
-            raise InvalidPath("a string loop is not contractible on this geometry")
-        exps.append(e)
-    e = (exps[0] - exps[1] - exps[2]) % (2 * lat.q)
-    return cmath.exp(1j * cmath.pi * e / lat.q)
+    return _Braiding(lat, paths, group).phase(t1, t2)
 
 
 def s_matrix_dense(code: ToricCode, t1: AnyonType, t2: AnyonType,
@@ -450,25 +502,32 @@ def quantization_check(code: ToricCode,
     Each phase is compared against the crossing-count oracle and against the
     bilinear form omega^{sigma (a1 b2 + b1 a2)} whose global sign convention
     sigma is read off the electric-vs-magnetic entry.
+
+    The string paths, the ground group and the crossing numbers are built
+    once per check; each type (mod q) gets its four strings and its two loop
+    expectations once, on first use; each pair then costs three Pauli
+    compositions and one expectation exponent.  An entry keeps its types as
+    given.
     """
     lat = code.lattice
     q = lat.q
     paths = smatrix_paths(lat)
-    group = ground_group(code)
+    braiding = _Braiding(lat, paths, ground_group(code))
+    crossings = crossing_numbers(paths)
     if pairs is None:
         types = [AnyonType(a, b) for a in range(q) for b in range(q)]
         pairs = [(t1, t2) for t1 in types for t2 in types]
-    em = s_matrix_element(code, AnyonType(1, 0), AnyonType(0, 1), paths, group)
+    em = braiding.phase(AnyonType(1, 0), AnyonType(0, 1))
     k_em = round(q * (cmath.phase(em) / (2 * math.pi))) % q
     sigma = -1 if k_em == q - 1 else 1
     entries = []
     max_dev = 0.0
     ok = True
     for t1, t2 in pairs:
-        phase = s_matrix_element(code, t1, t2, paths, group)
+        phase = braiding.phase(t1, t2)
         k = round(q * (cmath.phase(phase) / (2 * math.pi))) % q
         dev = abs(phase - cmath.exp(2j * cmath.pi * k / q))
-        oracle = crossing_phase_oracle(lat, t1, t2, paths)
+        oracle = _oracle_phase(q, crossings, t1, t2)
         oracle_ok = abs(phase - oracle) <= tol
         e_form = (sigma * (t1.a * t2.b + t1.b * t2.a)) % q
         formula_ok = abs(phase - cmath.exp(2j * cmath.pi * e_form / q)) <= tol
@@ -644,8 +703,14 @@ def annulus_extreme_points(code: ToricCode,
     if q ** m <= min(config.dense_limit, 4096):
         dense_checked = True
         mats = [stabilizer.sps_dense(pt.state, config) for pt in points]
+
+        def commutator_norm(A: np.ndarray, B: np.ndarray) -> float:
+            AB = A @ B
+            AB -= B @ A  # in place: the check's largest temporary is its products
+            return np.linalg.norm(AB)
+
         dense_commute = all(
-            np.linalg.norm(mats[i] @ mats[j] - mats[j] @ mats[i]) < 1e-9
+            commutator_norm(mats[i], mats[j]) < 1e-9
             for i in range(len(mats)) for j in range(i + 1, len(mats)))
 
     ok = (

@@ -259,6 +259,7 @@ def test_toric_annulus_too_small(capsys):
     ["toric", "annulus", "--q", "1", "--lx", "3", "--ly", "4"],
     ["toric", "smatrix", "--q", "2", "--lx", "2", "--ly", "2", "--pairs", "1,0,x,1"],
     ["toric", "smatrix", "--q", "2", "--lx", "2", "--ly", "2", "--pairs", "1,0,0"],
+    ["toric", "smatrix", "--q", "3", "--lx", "2", "--ly", "2", "--pairs", "5,0,0,1"],
 ])
 def test_toric_bad_geometry_or_pairs_is_usage_error(capsys, argv):
     code, out, err = run_cli(capsys, argv)

@@ -189,6 +189,21 @@ def test_sps_dense_projector_properties():
     assert np.sum(w > 1e-9) == r
 
 
+@pytest.mark.parametrize("q,n", [(2, 3), (3, 2), (4, 2), (6, 1), (5, 2)])
+def test_sps_dense_matches_kronecker_reference(q, n):
+    # sps_dense writes each element's entries column by column; the
+    # reference sums the elements' Kronecker-product matrices
+    states = list(stabilizer.enumerate_sps(n, q))
+    pure = [st for st in states if st.rank == 1]
+    mixed = [st for st in states if st.rank > 1]
+    for group in (pure, mixed):
+        for st in group[::max(1, len(group) // 25)]:
+            ref = sum(pauli.to_dense(s) for s in stabilizer.elements(st.group)) / q ** n
+            assert np.abs(stabilizer.sps_dense(st) - ref).max() < 1e-14
+    with pytest.raises(BudgetExceeded):
+        stabilizer.sps_dense(states[0], RunConfig(dense_limit=q ** n - 1))
+
+
 def test_sps_vector_requires_pure():
     S = stabilizer.validate([lbl(2, 2, [1, 0], [0, 0])])
     with pytest.raises(ValueError):

@@ -216,6 +216,34 @@ def test_quantization_check(q, Lx, Ly):
     assert len(report.entries) == q ** 4
 
 
+@pytest.mark.parametrize("q", [2, 3, 4])
+@pytest.mark.parametrize("Lx,Ly", [(2, 2), (2, 3), (3, 3)])
+def test_quantization_check_matches_pairwise_evaluator(q, Lx, Ly):
+    # the check builds each type's strings and loop phases once; every entry
+    # must still equal the one-pair evaluator exactly
+    code = toric.build_toric(q, Lx, Ly)
+    lat = code.lattice
+    paths = toric.smatrix_paths(lat)
+    group = toric.ground_group(code)
+    report = toric.quantization_check(code)
+    assert report.ok
+    for e in report.entries:
+        assert e.phase == toric.s_matrix_element(code, e.t1, e.t2, paths, group)
+        oracle = toric.crossing_phase_oracle(lat, e.t1, e.t2)
+        assert e.oracle_ok == (abs(e.phase - oracle) <= 1e-9)
+        assert e.oracle_ok and e.formula_ok
+    # a repeated pair and a type outside 0..q-1, which keeps its given form
+    # and braids as its residue
+    e_, m_, big = toric.AnyonType(1, 0), toric.AnyonType(0, 1), toric.AnyonType(q + 1, 0)
+    pairs = [(e_, m_), (big, m_), (e_, m_), (m_, big)]
+    entries = toric.quantization_check(code, pairs).entries
+    assert [(e.t1, e.t2) for e in entries] == pairs
+    assert entries[0] == entries[2]
+    assert entries[1].phase == entries[0].phase
+    assert entries[3].phase == toric.s_matrix_element(code, m_, e_)
+    assert all(e.oracle_ok and e.formula_ok for e in entries)
+
+
 def test_disk_reduction_is_locally_determined():
     # reduction of the dense ground state to a disk equals the projection
     # state of the supported subgroup: disks carry no extra information
