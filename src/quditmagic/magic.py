@@ -26,10 +26,12 @@ Every measure is reported by one rule.  Its solver certifies a bracket
 [lower, upper] on its own objective: lambda for S_max and LGR, and
 S(rho || sigma) in nats for S_rel (upper the Frank-Wolfe value, lower that
 minus its gap), 1 + 2R for LR (upper the primal cost, lower Tr(A rho) of
-the dual witness A scaled to feasibility); LF's bracket is one point.  The
-value is the upper end in the configured log units, the gap the bracket's
-width in those units, and the status "exact" iff upper - lower < GAP_TOL,
-else "upper-estimate".  Only the LP loads scipy.optimize, on first use.
+a dual witness A scaled to feasibility: HiGHS's dual, or that dual moved
+onto the equalities of the decomposition's atoms, whichever certifies
+more); LF's bracket is one point.  The value is the upper end in the
+configured log units, the gap the bracket's width in those units, and the
+status "exact" iff upper - lower < GAP_TOL, else "upper-estimate".  Only
+the LP loads scipy.optimize, on first use.
 Also the patch-certificate machinery turning trace-distance lower bounds
 on small patches into global fidelity/entropy lower bounds.
 """
@@ -141,7 +143,7 @@ class LrResult:
     lr: MeasureValue      # LR = log(1 + 2R)
     optimum: float        # 1 + 2R, the primal cost
     coeffs: np.ndarray    # signed decomposition weights per dictionary state
-    witness: np.ndarray   # dual Hermitian A with |Tr(A sigma)| <= 1 + 1e-8
+    witness: np.ndarray   # dual Hermitian A behind the bracket's lower end
 
 
 def lr_lp(rho: np.ndarray, dic: StabilizerDictionary,
@@ -149,46 +151,54 @@ def lr_lp(rho: np.ndarray, dic: StabilizerDictionary,
     """min sum |c_k| s.t. sum c_k phi_k = rho, by the split c = u - w.
 
     The bracket on 1 + 2R runs from Tr(A rho) / max(1, max_k |Tr(A phi_k)|),
-    the dual witness scaled to feasibility (weak duality), to the primal
-    cost sum |c_k|.  The primal residual r = ||sum c_k phi_k - rho||_max
-    (1e-16 to 6e-13 measured) is outside the bracket: the lower end is
+    a dual witness A scaled to feasibility (weak duality), to the primal
+    cost sum |c_k|.  HiGHS's dual may overshoot feasibility by ~1e-9, which
+    the scaling turns into a bracket wider than GAP_TOL, so the dual is
+    also moved by the least-norm change that makes Tr(A phi_k) = sign(c_k)
+    on the atoms with c_k != 0, complementary slackness at the primal
+    optimum; of the two witnesses, the one with the higher lower end is
+    kept.  Both are certified, and a raw dual that overshoots by more than
+    1e-8 is an error.  The primal residual r = ||sum c_k phi_k - rho||_max
+    (1e-16 to 2.8e-11 measured) is outside the bracket: the lower end is
     computed on rho itself, so it stays certified, while the upper end is
     the cost of decomposing rho + E, E the residual, which differs from
-    the optimum for rho by Tr(A E) to first order: at most 2.3e-12
-    measured (at (n, q) = (2, 4)), below GAP_TOL.
+    the optimum for rho by Tr(A E) to first order: at most 3.3e-11
+    measured (at (n, q) = (2, 3), the default_rng(3) state), below GAP_TOL.
     """
     d = dic.dim
     K = len(dic.vectors)
     Phi = dic.matrix
-    # column k: the coordinates of phi_k phi_k^dag
+    # column k: the coordinates of phi_k phi_k^dag, so Tr(A phi_k phi_k^dag)
+    # is y.H[:, k] for A with coordinates y
     H = _herm_coords(Phi.T[:, :, None] * dic.adjoint[:, None, :]).T
     A = np.hstack([H, -H])
     b = _herm_coords(rho)
     c = np.ones(2 * K)
     sol = simplex.solve_lp(A, b, c)
     coeffs = sol.x[:K] - sol.x[K:]
-    witness = _herm_from_coords(sol.dual, d)
-    feas = float(np.max(np.abs(_expectations(dic, witness))))
-    if feas > 1.0 + 1e-8:
+    if float(np.max(np.abs(sol.dual @ H))) > 1.0 + 1e-8:
         raise ArithmeticError("dual witness violates |Tr(A sigma)| <= 1")
+    active = np.flatnonzero(coeffs)
+    H_A = H[:, active]
+    slack = coeffs[active] / np.abs(coeffs[active]) - sol.dual @ H_A
+    # H_A^T H_A, as the overlaps |<phi_k|phi_l>|^2 of the active atoms
+    gram = np.abs(dic.adjoint[active] @ Phi[:, active]) ** 2
+    moved = sol.dual + H_A @ _least_squares_symmetric(gram, slack)
+    duals = (sol.dual, moved)
+    lowers = [float(y @ b) / max(float(np.max(np.abs(y @ H))), 1.0) for y in duals]
+    best = int(np.argmax(lowers))   # the raw dual on a tie
     opt = max(sol.value, 1.0)
-    lower = max(float(np.real(np.trace(witness @ rho))) / max(feas, 1.0), 1.0)
     return LrResult(
-        lr=_bracket(lower, opt, lambda x: log_value(x, config)),
+        lr=_bracket(max(lowers[best], 1.0), opt, lambda x: log_value(x, config)),
         optimum=opt,
         coeffs=coeffs,
-        witness=witness,
+        witness=_herm_from_coords(duals[best], d),
     )
 
 
 # ---------------------------------------------------------------------------
 # Pairwise Frank-Wolfe with active-set Newton steps over the hull
 # ---------------------------------------------------------------------------
-
-def _expectations(dic: StabilizerDictionary, A: np.ndarray) -> np.ndarray:
-    """Tr(A phi_k phi_k^dag) for every dictionary vector phi_k."""
-    return np.real(np.einsum("ki,ik->k", dic.adjoint, A @ dic.matrix))
-
 
 EPS = np.finfo(float).eps
 EIG_FLOOR = 1e-12

@@ -1,11 +1,10 @@
 """Stabilizer groups over Z_q and stabilizer projection states.
 
 Canonical forms, orders, membership, supported and locally generated
-subgroups, conjugated groups, exhaustive enumeration of
-stabilizer groups, information-convex extreme points, Pauli re-phasing, and
-the one place that turns a group into a state: the dense reference
-sps_dense, and sps_vector, which projects one basis state of a pure state's
-support and forms no q^n x q^n matrix.
+subgroups, conjugated groups, exhaustive enumeration of stabilizer groups,
+information-convex extreme points, Pauli re-phasing, and the one place that
+turns a group into a state: the dense reference sps_dense, and sps_vector,
+which sets each amplitude of a pure state once from the group's elements.
 
 All group-theoretic questions are questions about the subgroup of
 Z_q^{2n} spanned by the exponent rows; linalg reads them off one Howell form,
@@ -29,8 +28,8 @@ values, so the many groups that share a lattice and differ only in phases
 (all phase assignments of one lattice, the re-phasings extreme_points
 tries, the repeated braiding queries on one toric ground group) factorize it
 once; the commutation and phase checks still run on every call.
-independent_generators memos its decomposition, and sps_vector the
-combinations whose products are diagonal, the same way.
+independent_generators memos its decomposition the same way; the elements
+of every group come from one table per lattice, with phases base + M.c.
 
 supported_subgroup goes one step further and memos a phase map: its
 generators are products h_j = prod_i g_i^{x_ji} with phases
@@ -45,9 +44,9 @@ every c and are not stored.  The enumeration builds, per lattice, the d
 phase-shifted labels of each independent generator of order d once, and
 every group of the lattice takes its generators from those lists.
 
-Every product of generators goes through product_label, which evaluates
-prod_j g_j^{x_j} in closed form on plain integer lists (see its docstring)
-and builds a single PauliLabel for the result instead of one per factor.
+Products of generators go through product_label, which evaluates
+prod_j g_j^{x_j} in closed form (see its docstring) on plain integer lists,
+or, in _element_table, on arrays of all of a group's elements at once.
 """
 
 import functools
@@ -205,16 +204,45 @@ def independent_generators(S: StabilizerGroup) -> List[Tuple[PauliLabel, int]]:
     return out
 
 
+@functools.lru_cache(maxsize=1)
+def _element_table(q: int, n: int, rows: Tuple[Tuple[int, ...], ...]) -> Tuple:
+    """(A, B, base, M, diag, form) for these generator rows: row i of A, B
+    holds the Z- and X-exponents of element i in elements' order, its phase
+    is base_i + M_i.c (mod 2q) for generator phases c, expanded one
+    independent generator at a time by product_label's rule; diag marks the
+    diagonal elements, and form, the augmented_form of their Z-parts'
+    transpose, gives sps_vector its support point.  One table is kept, as
+    the enumeration yields a lattice's phase assignments back to back, in
+    the least type that holds 2q (0.2 MB, not 1.4, at 6,561 elements)."""
+    A = B = np.zeros((1, n), dtype=np.int64)
+    base, M = np.zeros(1, dtype=np.int64), np.zeros((1, len(rows)), dtype=np.int64)
+    for crow, d in zip(*_decomposition(q, rows)):
+        if d == 1:
+            continue
+        h = product_label(_zero_labels(q, n, rows), crow)
+        a, x = np.array(h.a), np.arange(d)
+        base = ((base[:, None] + x * (h.c - sum(map(mul, h.a, h.b)) * (x - 1))
+                 - 2 * (B @ a)[:, None] * x) % (2 * q)).reshape(-1)
+        A = ((A[:, None] + x[:, None] * a) % q).reshape(-1, n)
+        B = ((B[:, None] + x[:, None] * np.array(h.b)) % q).reshape(-1, n)
+        M = ((M[:, None] + x[:, None] * np.array(crow)) % (2 * q)).reshape(-1, len(rows))
+    diag = ~B.any(axis=1)
+    form = linalg.augmented_form(A[diag].T.tolist(), q)
+    return (*(X.astype(np.min_scalar_type(2 * q)) for X in (A, B, base, M)), diag, form)
+
+
+def _element_arrays(S: StabilizerGroup) -> Tuple:
+    """(A, B, phases, diag, form) of S's elements; int64 operands promote A, B."""
+    A, B, base, M, diag, form = _element_table(S.q, S.n, _rows_key(S.gens))
+    c = np.array([g.c for g in S.gens], dtype=np.int64)
+    return A, B, (base + M @ c) % (2 * S.q), diag, form
+
+
 def elements(S: StabilizerGroup) -> Iterator[PauliLabel]:
     """All |S| elements, each exactly once."""
-    ind = independent_generators(S)
-    if not ind:
-        yield pauli.identity_label(S.q, S.n)
-        return
-    gens = [g for g, _ in ind]
-    orders = [d for _, d in ind]
-    for coeffs in itertools.product(*(range(d) for d in orders)):
-        yield product_label(gens, coeffs)
+    A, B, phases, _, _ = _element_arrays(S)
+    for a, b, c in zip(A.tolist(), B.tolist(), phases.tolist()):
+        yield PauliLabel(S.q, S.n, tuple(a), tuple(b), c)
 
 
 def member(S: StabilizerGroup, P: PauliLabel) -> str:
@@ -371,49 +399,41 @@ def sps_dense(state: StabilizerProjectionState, config: RunConfig = DEFAULT_CONF
     q, n = S.q, S.n
     dim = q ** n
     check_dense(dim, config)
+    A, B, phases, _, _ = _element_arrays(S)
     cols = np.arange(dim)
     digits = cols // q ** np.arange(n)[:, None] % q   # digits[i, k]: site i of k
     place = q ** np.arange(n)
     roots = np.exp(1j * np.pi * np.arange(2 * q) / q)
     acc = np.zeros((dim, dim), dtype=complex)
-    for s in elements(S):
-        shifted = (digits + np.array(s.b)[:, None]) % q
-        exps = (s.c + 2 * (np.array(s.a) @ shifted)) % (2 * q)
+    for a, b, c in zip(A, B, phases):
+        shifted = (digits + b[:, None]) % q
+        exps = (c + 2 * (a @ shifted)) % (2 * q)
         acc[place @ shifted, cols] += roots[exps]
     acc /= dim
     return acc
 
 
-@functools.lru_cache(maxsize=16)
-def _diagonal_combinations(q: int, rows: Tuple[Tuple[int, ...], ...]) -> Tuple:
-    """The left kernel of the X-parts of generators with these exponent rows:
-    the combinations whose products are diagonal.  All phase assignments of
-    one lattice share it."""
-    n = len(rows[0]) // 2
-    return tuple(map(tuple, linalg.left_kernel_mod([r[n:] for r in rows], q)))
-
-
 def sps_vector(state: StabilizerProjectionState, config: RunConfig = DEFAULT_CONFIG) -> np.ndarray:
     """State vector of a pure stabilizer projection state (|S| = q^n), formed
-    without q^n x q^n matrices: the state is proportional to sum_{s in S} s|j>
-    for a basis state |j> fixed by every diagonal element omega_{2q}^c Z^a of
-    S (a.j = -c/2 mod q), so |j> is projected through the independent
-    generators."""
+    without q^n x q^n matrices: sum_{s in S} s|j> for a basis state |j>
+    fixed by every diagonal element omega_{2q}^c Z^a (a.j = -c/2 mod q).
+    omega_{2q}^c Z^a X^b maps |j> to omega_{2q}^{c + 2 a.(j + b)} |j + b>,
+    the same for all elements with that b, so each amplitude is set once: a
+    2q-th root of unity, the first one 1, over sqrt(|support|)."""
     S = state.group
     if state.rank != 1:
         raise ValueError("projection state is not pure")
     q, n = S.q, S.n
     check_dense(q ** n, config)
-    diag = [product_label(S.gens, x) for x in _diagonal_combinations(q, _rows_key(S.gens))]
-    j = linalg.solve_right_mod([d.a for d in diag], [-d.c // 2 for d in diag], q)
+    A, B, phases, diag, form = _element_arrays(S)
+    j = linalg.solve_form(form, [-c // 2 for c in phases[diag].tolist()], q)
+    shifted = (B + j) % q
+    idx = shifted @ q ** np.arange(n)
+    exps = phases + 2 * (A * shifted).sum(axis=1)
+    roots = np.exp(1j * np.pi * np.arange(2 * q) / q) / np.sqrt(q ** n // int(diag.sum()))
     v = np.zeros(q ** n, dtype=complex)
-    v[sum(x * q ** i for i, x in enumerate(j))] = 1.0
-    for g, d in independent_generators(S):
-        v = sum(pauli.apply_to_state(pauli.power(g, m), v) for m in range(d)) / d
-    v = v / np.linalg.norm(v)
-    # deterministic global phase: first significant amplitude real positive
-    idx = int(np.argmax(np.abs(v) > 1e-9))
-    return v * (np.conj(v[idx]) / np.abs(v[idx]))
+    v[idx] = roots[(exps - exps[idx.argmin()]) % (2 * q)]
+    return v
 
 
 def conjugated(S: StabilizerGroup, U: PauliLabel) -> StabilizerGroup:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quditmagic import linalg, pauli, stabilizer
+from quditmagic import linalg, magic, pauli, stabilizer, toric
 from quditmagic.config import RunConfig, BudgetExceeded
 
 
@@ -237,6 +237,82 @@ def test_sps_vector_support_without_zero():
     S = stabilizer.validate([lbl(3, 2, [1, 0], [0, 0], 4), lbl(3, 2, [0, 0], [0, 1])])
     v = check_sps_vector(stabilizer.StabilizerProjectionState(S))
     assert abs(v[0]) < 1e-12 and abs(v[1]) > 0.5
+
+
+def reference_elements(S):
+    """elements() as a loop: one product_label call per coefficient tuple of
+    the independent generators, the last one varying fastest."""
+    ind = stabilizer.independent_generators(S)
+    if not ind:
+        return [pauli.identity_label(S.q, S.n)]
+    gens = [g for g, _ in ind]
+    return [stabilizer.product_label(gens, x)
+            for x in itertools.product(*(range(d) for _, d in ind))]
+
+
+def reference_sps_vector(state):
+    """sps_vector by projection: a basis state |j> fixed by the diagonal
+    elements, projected through every power of every independent generator,
+    normalized, and rotated so its first significant amplitude is real."""
+    S = state.group
+    q, n = S.q, S.n
+    combos = linalg.left_kernel_mod([list(g.b) for g in S.gens], q)
+    diag = [stabilizer.product_label(S.gens, x) for x in combos]
+    j = linalg.solve_right_mod([d.a for d in diag], [-d.c // 2 for d in diag], q)
+    v = np.zeros(q ** n, dtype=complex)
+    v[sum(x * q ** i for i, x in enumerate(j))] = 1.0
+    for g, d in stabilizer.independent_generators(S):
+        v = sum(pauli.apply_to_state(pauli.power(g, m), v) for m in range(d)) / d
+    v = v / np.linalg.norm(v)
+    idx = int(np.argmax(np.abs(v) > 1e-9))
+    return v * (np.conj(v[idx]) / np.abs(v[idx]))
+
+
+def exact_amplitudes(v, q):
+    """The vector with v's support whose amplitudes are the 2q-th roots of
+    unity nearest to v's, over sqrt(|support|)."""
+    support = np.abs(v) > 1e-9
+    k = np.rint(np.angle(v) * q / np.pi)
+    return np.where(support, np.exp(1j * np.pi * k / q), 0) / math.sqrt(support.sum())
+
+
+def check_against_projection(state):
+    v = stabilizer.sps_vector(state)
+    ref = reference_sps_vector(state)
+    assert np.abs(v - ref).max() < 2e-15
+    assert np.abs(v - exact_amplitudes(ref, state.group.q)).max() < 1e-15
+
+
+REFERENCE_SIZES = [(1, 2), (1, 3), (1, 4), (1, 6), (2, 2), (2, 3)]
+
+
+@pytest.mark.parametrize("n,q", REFERENCE_SIZES)
+def test_elements_match_product_label_loop(n, q):
+    for st in stabilizer.enumerate_sps(n, q):
+        assert list(stabilizer.elements(st.group)) == reference_elements(st.group)
+    S = stabilizer.trivial_group(q, n)
+    assert list(stabilizer.elements(S)) == reference_elements(S) == [pauli.identity_label(q, n)]
+
+
+@pytest.mark.parametrize("n,q", REFERENCE_SIZES + [(2, 4)])
+def test_sps_vector_matches_projection(n, q):
+    for st in stabilizer.enumerate_pure_stabilizer_states(n, q):
+        check_against_projection(st)
+
+
+@pytest.mark.parametrize("q,lx,ly", [(2, 2, 2), (2, 2, 3), (2, 3, 2), (3, 2, 2)])
+def test_toric_ground_vector_matches_projection(q, lx, ly):
+    # the ground states whose dense S-matrix oracle the benchmark evaluates
+    code = toric.build_toric(q, lx, ly)
+    check_against_projection(stabilizer.StabilizerProjectionState(toric.ground_group(code, (0, 0))))
+
+
+@pytest.mark.parametrize("n,q", [(1, 3), (2, 2), (2, 3)])
+def test_dictionary_columns_in_enumeration_order(n, q):
+    dic = magic.build_dictionary(n, q, RunConfig())
+    refs = [reference_sps_vector(st) for st in stabilizer.enumerate_pure_stabilizer_states(n, q)]
+    assert len(dic.vectors) == len(refs)
+    assert max(np.abs(v - ref).max() for v, ref in zip(dic.vectors, refs)) < 2e-15
 
 
 def test_conjugated_group_matches_dense():
