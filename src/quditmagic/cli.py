@@ -90,6 +90,8 @@ def _load_tableau(path: str):
 def cmd_cover(args, config: RunConfig) -> int:
     if args.q < 2 or args.n < 1:
         raise UsageError("need --q >= 2 and --n >= 1")
+    if covering.expected_member_count(args.q, args.n) > config.enum_limit:   # before any ring
+        raise BudgetExceeded("cover members exceed limit %d" % config.enum_limit)
     fam = covering.cover_composite(args.q, args.n)
     body = {
         "command": "cover",

@@ -31,7 +31,7 @@ onto the equalities of the decomposition's atoms, whichever certifies
 more); LF's bracket is one point.  The value is the upper end in the
 configured log units, the gap the bracket's width in those units, and the
 status "exact" iff upper - lower < GAP_TOL, else "upper-estimate".  Only
-the LP loads scipy.optimize, on first use.
+the LP, posed in Pauli coordinates, loads scipy.optimize, on first use.
 Also the patch-certificate machinery turning trace-distance lower bounds
 on small patches into global fidelity/entropy lower bounds.
 """
@@ -75,10 +75,8 @@ class StabilizerDictionary:
     n: int
     q: int
     vectors: List[np.ndarray]
-
-    @property
-    def dim(self) -> int:
-        return self.q ** self.n
+    labels: np.ndarray   # K x d: the flat label (_pauli_transform) of each element of phi_k's group
+    phases: np.ndarray   # K x d: its phase c, the element being omega_{2q}^c Z^a X^b
 
     @cached_property
     def matrix(self) -> np.ndarray:
@@ -86,39 +84,33 @@ class StabilizerDictionary:
         return np.column_stack(self.vectors)
 
     @cached_property
-    def adjoint(self) -> np.ndarray:
-        """The K x d conjugate transpose of `matrix`: row k is phi_k^dag."""
-        return self.matrix.conj().T
+    def pauli_lp(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """(H, rot, re, im) of lr_lp's equalities: a row is Re (labels re: P = P^dag,
+        or the lesser of P, P^dag) or Im (labels im) of rot = omega_{2q}^{-a.b}
+        times a Pauli transform; phi_k phi_k^dag's, H's column k, is omega_{2q}^c
+        at the labels of its group's elements and 0 elsewhere."""
+        q, n = self.q, self.n
+        grid = np.indices([q] * (2 * n)).reshape(2 * n, -1)
+        flat, adjoint = np.arange(q ** (2 * n)), q ** np.arange(2 * n - 1, -1, -1) @ (-grid % q)
+        re, im = np.flatnonzero(flat <= adjoint), np.flatnonzero(flat < adjoint)
+        ab = np.sum(grid[:n] * grid[n:], axis=0)
+        e = (self.phases - ab[self.labels]) % (2 * q)   # the exponents of rot * omega_{2q}^c
+        T = np.zeros((len(ab), len(e)), dtype=complex)
+        # round off the ulp by which exp misses the zeros of cos and sin
+        T[self.labels, np.arange(len(e))[:, None]] = np.exp(1j * np.pi * e / q).round(15)
+        return np.concatenate([T[re].real, T[im].imag]), np.exp(-1j * np.pi * ab / q), re, im
 
 
 def build_dictionary(n: int, q: int, config: RunConfig = DEFAULT_CONFIG) -> StabilizerDictionary:
-    """Dense vectors of every pure stabilizer state on (n, q)."""
+    """Dense vectors of every pure stabilizer state on (n, q), and their groups' elements."""
     check_dense(q ** n, config)
-    vectors = [stabilizer.sps_vector(sps, config)
-               for sps in stabilizer.enumerate_pure_stabilizer_states(n, q, config)]
-    return StabilizerDictionary(n=n, q=q, vectors=vectors)
-
-
-# ---------------------------------------------------------------------------
-# Hermitian coordinates (orthonormal real basis, Tr(A B) = coords.coords)
-# ---------------------------------------------------------------------------
-
-def _herm_coords(M: np.ndarray) -> np.ndarray:
-    """Coordinates of a Hermitian matrix, or of each in a stack: the diagonal,
-    then sqrt(2) times (Re, Im) of the upper triangle, row by row."""
-    iu = np.triu_indices(M.shape[-1], 1)
-    upper = M[..., iu[0], iu[1]]
-    pairs = np.stack([upper.real, upper.imag], axis=-1).reshape(*upper.shape[:-1], -1)
-    diag = np.diagonal(M, axis1=-2, axis2=-1).real
-    return np.concatenate([diag, math.sqrt(2.0) * pairs], axis=-1)
-
-
-def _herm_from_coords(v: np.ndarray, d: int) -> np.ndarray:
-    iu = np.triu_indices(d, 1)
-    M = np.diag(v[:d].astype(complex))
-    M[iu] = (v[d::2] + 1j * v[d + 1::2]) / math.sqrt(2.0)
-    M[iu[1], iu[0]] = M[iu].conj()
-    return M
+    vectors, elements = [], []
+    for sps in stabilizer.enumerate_pure_stabilizer_states(n, q, config):
+        vectors.append(stabilizer.sps_vector(sps, config))
+        elements.append(stabilizer._element_arrays(sps.group)[:3])
+    A, B, phases = map(np.array, zip(*elements))
+    labels = np.concatenate([A, B], axis=2) @ q ** np.arange(2 * n - 1, -1, -1)
+    return StabilizerDictionary(n=n, q=q, vectors=vectors, labels=labels, phases=phases)
 
 
 # ---------------------------------------------------------------------------
@@ -129,7 +121,7 @@ def lf_pure(psi: np.ndarray, dic: StabilizerDictionary,
             config: RunConfig = DEFAULT_CONFIG) -> Tuple[float, np.ndarray]:
     """LF = -log max_phi |<phi|psi>|^2, exact; the maximum over the convex
     hull of pure stabilizer states is attained at a vertex."""
-    fids = np.abs(dic.adjoint @ psi) ** 2
+    fids = np.abs(psi.conj() @ dic.matrix) ** 2
     k = int(np.argmax(fids))
     return -log_value(float(fids[k]), config), dic.vectors[k]
 
@@ -148,7 +140,10 @@ class LrResult:
 
 def lr_lp(rho: np.ndarray, dic: StabilizerDictionary,
           config: RunConfig = DEFAULT_CONFIG) -> LrResult:
-    """min sum |c_k| s.t. sum c_k phi_k = rho, by the split c = u - w.
+    """min sum |c_k| s.t. sum c_k phi_k phi_k^dag = rho, by the split c = u - w,
+    in Pauli coordinates (Howard & Campbell, PRL 118, 090501 (2017)): a row
+    is Re or Im of omega_{2q}^{-a.b} Tr(P^dag X) for a label P = Z^a X^b, P
+    and P^dag counted once, so column k has a nonzero per element at most.
 
     The bracket on 1 + 2R runs from Tr(A rho) / max(1, max_k |Tr(A phi_k)|),
     a dual witness A scaled to feasibility (weak duality), to the primal
@@ -158,41 +153,39 @@ def lr_lp(rho: np.ndarray, dic: StabilizerDictionary,
     on the atoms with c_k != 0, complementary slackness at the primal
     optimum; of the two witnesses, the one with the higher lower end is
     kept.  Both are certified, and a raw dual that overshoots by more than
-    1e-8 is an error.  The primal residual r = ||sum c_k phi_k - rho||_max
-    (1e-16 to 2.8e-11 measured) is outside the bracket: the lower end is
-    computed on rho itself, so it stays certified, while the upper end is
-    the cost of decomposing rho + E, E the residual, which differs from
-    the optimum for rho by Tr(A E) to first order: at most 3.3e-11
-    measured (at (n, q) = (2, 3), the default_rng(3) state), below GAP_TOL.
+    1e-8 is an error.  The primal residual E = sum c_k phi_k - rho (max-norm
+    1e-13 at most, measured on 18 random states at (2,3), (3,2) and (2,4))
+    is outside the bracket: the lower end is computed on rho itself, while
+    the upper end, the cost of decomposing rho + E, is off by Tr(A E).
     """
-    d = dic.dim
-    K = len(dic.vectors)
-    Phi = dic.matrix
-    # column k: the coordinates of phi_k phi_k^dag, so Tr(A phi_k phi_k^dag)
-    # is y.H[:, k] for A with coordinates y
-    H = _herm_coords(Phi.T[:, :, None] * dic.adjoint[:, None, :]).T
-    A = np.hstack([H, -H])
-    b = _herm_coords(rho)
-    c = np.ones(2 * K)
-    sol = simplex.solve_lp(A, b, c)
+    q, n, K = dic.q, dic.n, len(dic.vectors)
+    H, rot, re, im = dic.pauli_lp
+    t = rot * _pauli_transform(rho, q, n).ravel()
+    b = np.concatenate([t[re].real, t[im].imag])
+    sol = simplex.solve_lp(np.hstack([H, -H]), b, np.ones(2 * K))
     coeffs = sol.x[:K] - sol.x[K:]
     if float(np.max(np.abs(sol.dual @ H))) > 1.0 + 1e-8:
         raise ArithmeticError("dual witness violates |Tr(A sigma)| <= 1")
     active = np.flatnonzero(coeffs)
     H_A = H[:, active]
     slack = coeffs[active] / np.abs(coeffs[active]) - sol.dual @ H_A
-    # H_A^T H_A, as the overlaps |<phi_k|phi_l>|^2 of the active atoms
-    gram = np.abs(dic.adjoint[active] @ Phi[:, active]) ** 2
-    moved = sol.dual + H_A @ _least_squares_symmetric(gram, slack)
-    duals = (sol.dual, moved)
+    duals = (sol.dual, sol.dual + H_A @ _least_squares_symmetric(H_A.T @ H_A, slack))
     lowers = [float(y @ b) / max(float(np.max(np.abs(y @ H))), 1.0) for y in duals]
     best = int(np.argmax(lowers))   # the raw dual on a tie
+    # A is the Hermitian part of sum_P z_P P, z = omega_{2q}^{a.b} (y_re + i y_im)
+    y_re, y_im = np.split(duals[best], [len(re)])
+    z = np.zeros(len(rot), dtype=complex)
+    z[re] = y_re / rot[re]
+    z[im] += 1j * y_im / rot[im]
+    perm, index = _site_axes(q, n)
+    A = np.conj(_characters(np.conj(z).reshape([q] * (2 * n)), q, n))[index]
+    A = A.transpose(perm).reshape(q ** n, q ** n)
     opt = max(sol.value, 1.0)
     return LrResult(
         lr=_bracket(max(lowers[best], 1.0), opt, lambda x: log_value(x, config)),
         optimum=opt,
         coeffs=coeffs,
-        witness=_herm_from_coords(duals[best], d),
+        witness=(A + A.conj().T) / 2,
     )
 
 
@@ -621,17 +614,29 @@ def distance_to_sps(rho: np.ndarray, n: int, q: int,
 # Stabilizer-measurement distinguishability
 # ---------------------------------------------------------------------------
 
+def _site_axes(q: int, n: int) -> Tuple[List[int], Tuple[np.ndarray, ...]]:
+    """(perm, index): M.reshape([q] * 2n).transpose(perm) puts site i of M's
+    row and column on axes i and n + i, where X[index][k, b] = X[k, k - b]."""
+    sites = list(range(n - 1, -1, -1))  # the row-major reshape puts site 0 last
+    grid = np.indices([q] * (2 * n))
+    k, b = grid[:n], grid[n:]
+    return sites + [n + s for s in sites], tuple(k) + tuple((k - b) % q)
+
+
+def _characters(X: np.ndarray, q: int, n: int) -> np.ndarray:
+    """sum_k omega^{-a.k} X[k, ...] over the first n axes, a q x q product per site."""
+    F = np.exp(-2j * np.pi * (np.outer(np.arange(q), np.arange(q)) % q) / q)
+    for i in range(n):
+        X = np.moveaxis(np.tensordot(F, X, axes=(1, i)), 0, i)
+    return X
+
+
 def _pauli_transform(M: np.ndarray, q: int, n: int) -> np.ndarray:
     """T[a, b] = Tr((Z^a X^b)^dag M) = sum_k omega^{-a.k} M[k, k - b] for
     every label, on axes (a_0..a_{n-1}, b_0..b_{n-1}) so that T.flat runs in
-    itertools.product(range(q), repeat=2n) order: one n-dimensional FFT over
-    k for each shift b."""
-    sites = list(range(n - 1, -1, -1))  # the row-major reshape puts site 0 last
-    M = M.reshape([q] * (2 * n)).transpose(sites + [n + s for s in sites])
-    grid = np.indices([q] * (2 * n))
-    k, b = grid[:n], grid[n:]
-    diag = M[tuple(k) + tuple((k - b) % q)]  # diag[k, b] = M[k, k - b]
-    return np.fft.fftn(diag, axes=tuple(range(n)))
+    itertools.product(range(q), repeat=2n) order, the flat label order."""
+    perm, index = _site_axes(q, n)
+    return _characters(M.reshape([q] * (2 * n)).transpose(perm)[index], q, n)
 
 
 def sm_distinguishing_pauli(rho: np.ndarray, sigma: np.ndarray, q: int, n: int,

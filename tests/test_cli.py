@@ -191,6 +191,19 @@ def test_enum_budget_exits_promptly(tmp_path):
     assert "enumeration budget exceeded" in out.stderr
 
 
+def test_cover_budget_exits_promptly():
+    # a 40-qubit cover has 2^40 + 1 members, and finding its Galois ring
+    # alone would search for a degree-40 irreducible polynomial
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(quditmagic.__file__)))
+    out = subprocess.run(
+        [sys.executable, "-m", "quditmagic.cli", "--enum-limit", "1000",
+         "cover", "--q", "2", "--n", "40"],
+        env=env, capture_output=True, text=True, timeout=30,
+    )
+    assert out.returncode == cli.EXIT_BUDGET, out.stderr
+    assert "exceed limit 1000" in out.stderr
+
+
 def test_rephase(capsys, tmp_path):
     tab = tmp_path / "tab.txt"
     tab.write_text(stabilizer.tableau_to_text([pauli.label(2, 1, [1], [0], 0)]))

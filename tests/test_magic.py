@@ -142,6 +142,42 @@ def test_lr_reports_duality_gap(dic12, monkeypatch):
     assert res.lr.status == magic.STATUS_UPPER
 
 
+def reference_rows(T, q, n):
+    """The LP rows of a Pauli transform, label by label in itertools.product
+    order: Re of omega_{2q}^{-a.b} T_P for P = P^dag and for the first of
+    each pair P, P^dag, then Im for the first of each pair."""
+    labels = list(itertools.product(range(q), repeat=2 * n))
+    position = {x: i for i, x in enumerate(labels)}
+    re, im = [], []
+    for i, x in enumerate(labels):
+        w = T.flat[i] * np.exp(-1j * np.pi * sum(x[j] * x[n + j] for j in range(n)) / q)
+        adjoint = position[tuple(-v % q for v in x)]
+        if i <= adjoint:
+            re.append(w.real)
+        if i < adjoint:
+            im.append(w.imag)
+    return np.array(re + im)
+
+
+@pytest.mark.parametrize("n,q", [(1, 2), (1, 3), (1, 4), (1, 6), (2, 2), (2, 3)])
+def test_lr_columns_match_dense_pauli_transforms(n, q):
+    # column k holds the rows of phi_k phi_k^dag's dense Pauli transform,
+    # which is nonzero at the d labels of its group only; the column keeps
+    # a nonzero for each of those labels at most, and exact zeros elsewhere
+    dic = magic.build_dictionary(n, q, RunConfig())
+    d = q ** n
+    H = dic.pauli_lp[0]
+    assert H.shape == (d * d, len(dic.vectors))
+    for k, v in enumerate(dic.vectors):
+        T = magic._pauli_transform(np.outer(v, v.conj()), q, n)
+        assert np.count_nonzero(np.abs(T) > 1e-12) == d
+        assert np.abs(np.abs(T.flat[dic.labels[k]]) - 1.0).max() < 1e-12
+        ref = reference_rows(T, q, n)
+        assert np.abs(H[:, k] - ref).max() < 1e-12
+        assert np.array_equal(np.flatnonzero(H[:, k]), np.flatnonzero(np.abs(ref) > 1e-12))
+        assert np.count_nonzero(H[:, k]) <= d
+
+
 def test_lr_zero_on_hull(dic12):
     rho = np.eye(2) / 2
     res = magic.lr_lp(rho, dic12)
@@ -456,14 +492,27 @@ def test_frank_wolfe_converges(size, psi, convergence_dics):
     assert fw.iterations < 10000
 
 
+def herm_coords(M):
+    """Coordinates of a Hermitian matrix, or of each in a stack, in an
+    orthonormal real basis (Tr(A B) = coords.coords): the diagonal, then
+    sqrt(2) times (Re, Im) of the upper triangle, row by row."""
+    iu = np.triu_indices(M.shape[-1], 1)
+    upper = M[..., iu[0], iu[1]]
+    pairs = np.stack([upper.real, upper.imag], axis=-1).reshape(*upper.shape[:-1], -1)
+    diag = np.diagonal(M, axis1=-2, axis2=-1).real
+    return np.concatenate([diag, math.sqrt(2.0) * pairs], axis=-1)
+
+
 def highs_ipm_log_optimum(rho, dic):
     """log2 of 1 + 2R from HiGHS's interior-point solver, with crossover, on
-    the LP that lr_lp hands to the dual simplex.  At HiGHS's default
-    tolerances the reference itself can sit 5e-12 off the optimum, past
-    check_lr_bracket's slack; at these its residual was 6e-16."""
-    H = magic._herm_coords(dic.matrix.T[:, :, None] * dic.adjoint[:, None, :]).T
+    the robustness LP posed in the matrix entries of phi_k phi_k^dag and rho
+    rather than lr_lp's Pauli rows.  At HiGHS's default tolerances the
+    reference itself can sit 5e-12 off the optimum, past check_lr_bracket's
+    slack; at these its residual was 6e-16."""
+    Phi = dic.matrix
+    H = herm_coords(Phi.T[:, :, None] * Phi.conj().T[:, None, :]).T
     res = scipy.optimize.linprog(np.ones(2 * H.shape[1]), A_eq=np.hstack([H, -H]),
-                                 b_eq=magic._herm_coords(rho), bounds=(0, None),
+                                 b_eq=herm_coords(rho), bounds=(0, None),
                                  method="highs-ipm",
                                  options={"primal_feasibility_tolerance": 1e-10,
                                           "dual_feasibility_tolerance": 1e-10,
@@ -479,7 +528,10 @@ def check_lr_bracket(lr, ref):
 
 
 @pytest.mark.parametrize("size,psi", CONVERGENCE_STATES + [
-    pytest.param((1, 3), random_state(3, 1, 7), id="q3n1-seed7")])
+    pytest.param((1, 3), random_state(3, 1, 7), id="q3n1-seed7"),
+    # a primal residual of 2.8e-11 on this state puts the upper end 1.1e-11
+    # bits below the reference
+    pytest.param((2, 3), random_state(3, 2, 3), id="q3n2-seed3")])
 def test_brackets_match_independent_references(size, psi, convergence_dics):
     # each reported value is its objective at the returned sigma, evaluated
     # by dense's own formulas, and LR's bracket holds the optimum of a
