@@ -90,7 +90,8 @@ def _load_tableau(path: str):
 def cmd_cover(args, config: RunConfig) -> int:
     if args.q < 2 or args.n < 1:
         raise UsageError("need --q >= 2 and --n >= 1")
-    if covering.expected_member_count(args.q, args.n) > config.enum_limit:   # before any ring
+    expected = covering.expected_member_count(args.q, args.n)
+    if expected > config.enum_limit:   # before any ring
         raise BudgetExceeded("cover members exceed limit %d" % config.enum_limit)
     fam = covering.cover_composite(args.q, args.n)
     body = {
@@ -98,7 +99,7 @@ def cmd_cover(args, config: RunConfig) -> int:
         "q": fam.q,
         "n": fam.n,
         "member_count": len(fam.members),
-        "expected_count": covering.expected_member_count(fam.q, fam.n),
+        "expected_count": expected,
         "tags": list(fam.tags),
         "members": [[list(row) for row in m] for m in fam.members],
     }
@@ -194,50 +195,54 @@ def _parse_pairs(text: str, q: int) -> list:
     return pairs
 
 
-def cmd_toric(args, config: RunConfig) -> int:
-    pairs = _parse_pairs(args.pairs, args.q) if getattr(args, "pairs", None) else None
+def _toric_check(args, check):
+    """check(code) on the toric code of args; a lattice too small for it is
+    a usage error."""
     try:
-        code = toric.build_toric(args.q, args.lx, args.ly)
-        if args.toric_cmd == "smatrix":
-            rep = toric.quantization_check(code, pairs)
-        else:
-            rep = toric.annulus_extreme_points(code, config=config)
+        return check(toric.build_toric(args.q, args.lx, args.ly))
     except toric.GeometryTooSmall as exc:
         raise UsageError(str(exc))
-    if args.toric_cmd == "smatrix":
-        body = {
-            "command": "toric smatrix",
-            "q": args.q, "lx": args.lx, "ly": args.ly,
-            "ok": rep.ok,
-            "convention": rep.convention,
-            "max_deviation": rep.max_deviation,
-            "table": [
-                {
-                    "t1": [e.t1.a, e.t1.b],
-                    "t2": [e.t2.a, e.t2.b],
-                    "phase": _complex_pair(e.phase),
-                    "power": e.power,
-                    "deviation": e.deviation,
-                    "oracle_ok": e.oracle_ok,
-                }
-                for e in rep.entries
-            ],
-        }
-    else:
-        body = {
-            "command": "toric annulus",
-            "q": args.q, "lx": args.lx, "ly": args.ly,
-            "ok": rep.ok,
-            "point_count": rep.point_count,
-            "expected": rep.expected,
-            "assignments": [list(a) for a in rep.assignments],
-            "max_commutator": rep.max_commutator,
-            "pauli_connected": rep.pauli_connected,
-            "anyon_matched": rep.anyon_matched,
-            "min_match_fidelity": rep.min_match_fidelity,
-            "dense_checked": rep.dense_checked,
-        }
-    _emit(config, body)
+
+
+def cmd_smatrix(args, config: RunConfig) -> int:
+    pairs = _parse_pairs(args.pairs, args.q) if args.pairs else None
+    rep = _toric_check(args, lambda code: toric.quantization_check(code, pairs))
+    _emit(config, {
+        "command": "toric smatrix",
+        "q": args.q, "lx": args.lx, "ly": args.ly,
+        "ok": rep.ok,
+        "convention": rep.convention,
+        "max_deviation": rep.max_deviation,
+        "table": [
+            {
+                "t1": [e.t1.a, e.t1.b],
+                "t2": [e.t2.a, e.t2.b],
+                "phase": _complex_pair(e.phase),
+                "power": e.power,
+                "deviation": e.deviation,
+                "oracle_ok": e.oracle_ok,
+            }
+            for e in rep.entries
+        ],
+    })
+    return EXIT_OK if rep.ok else EXIT_FAIL
+
+
+def cmd_annulus(args, config: RunConfig) -> int:
+    rep = _toric_check(args, lambda code: toric.annulus_extreme_points(code, config=config))
+    _emit(config, {
+        "command": "toric annulus",
+        "q": args.q, "lx": args.lx, "ly": args.ly,
+        "ok": rep.ok,
+        "point_count": rep.point_count,
+        "expected": rep.expected,
+        "assignments": [list(a) for a in rep.assignments],
+        "max_commutator": rep.max_commutator,
+        "pauli_connected": rep.pauli_connected,
+        "anyon_matched": rep.anyon_matched,
+        "min_match_fidelity": rep.min_match_fidelity,
+        "dense_checked": rep.dense_checked,
+    })
     return EXIT_OK if rep.ok else EXIT_FAIL
 
 
@@ -248,50 +253,52 @@ def _parse_region(text: str) -> List[int]:
         raise UsageError("regions are comma- or space-separated site indices")
 
 
-def cmd_witness(args, config: RunConfig) -> int:
-    if args.witness_cmd == "assemble":
-        return _witness_assemble(args, config)
+def _state_and_regions(args):
     q, n, psi = _load_state(args.state)
-    A = _parse_region(args.regionA)
-    B = _parse_region(args.regionB)
-    if args.witness_cmd == "mi":
-        try:
-            verdict = witness.mi_forbidden_window(
-                dense.density_of(psi), q, n, A, B, args.tol, config
-            )
-        except (dense.OverlappingRegions, witness.InvalidInput) as exc:
-            raise UsageError(str(exc))
-        _emit(config, {
-            "command": "witness mi",
-            "q": q, "n": n, "A": A, "B": B,
-            "mi": verdict.mi,
-            "p": verdict.p,
-            "window": list(verdict.window),
-            "verdict": verdict.verdict,
-            "margin": verdict.margin,
-        })
-        return EXIT_OK
-    if args.witness_cmd == "sandwich":
-        try:
-            rep = witness.mi_stability_check(
-                psi, q, n, args.depth, A, B, config=config
-            )
-        except (dense.OverlappingRegions, witness.InvalidInput) as exc:
-            raise UsageError(str(exc))
-        _emit(config, {
-            "command": "witness sandwich",
-            "q": q, "n": n, "A": A, "B": B, "depth": args.depth,
-            "i_shrunk": rep.i_shrunk,
-            "i_evolved": rep.i_evolved,
-            "i_grown": rep.i_grown,
-            "holds": rep.holds,
-            "slack": rep.slack,
-        })
-        return EXIT_OK if rep.holds else EXIT_FAIL
-    raise UsageError("unknown witness subcommand")
+    return q, n, psi, _parse_region(args.regionA), _parse_region(args.regionB)
 
 
-def _witness_assemble(args, config: RunConfig) -> int:
+def cmd_mi(args, config: RunConfig) -> int:
+    q, n, psi, A, B = _state_and_regions(args)
+    try:
+        verdict = witness.mi_forbidden_window(
+            dense.density_of(psi), q, n, A, B, args.tol, config
+        )
+    except (dense.OverlappingRegions, witness.InvalidInput) as exc:
+        raise UsageError(str(exc))
+    _emit(config, {
+        "command": "witness mi",
+        "q": q, "n": n, "A": A, "B": B,
+        "mi": verdict.mi,
+        "p": verdict.p,
+        "window": list(verdict.window),
+        "verdict": verdict.verdict,
+        "margin": verdict.margin,
+    })
+    return EXIT_OK
+
+
+def cmd_sandwich(args, config: RunConfig) -> int:
+    q, n, psi, A, B = _state_and_regions(args)
+    try:
+        rep = witness.mi_stability_check(
+            psi, q, n, args.depth, A, B, config=config
+        )
+    except (dense.OverlappingRegions, witness.InvalidInput) as exc:
+        raise UsageError(str(exc))
+    _emit(config, {
+        "command": "witness sandwich",
+        "q": q, "n": n, "A": A, "B": B, "depth": args.depth,
+        "i_shrunk": rep.i_shrunk,
+        "i_evolved": rep.i_evolved,
+        "i_grown": rep.i_grown,
+        "holds": rep.holds,
+        "slack": rep.slack,
+    })
+    return EXIT_OK if rep.holds else EXIT_FAIL
+
+
+def cmd_assemble(args, config: RunConfig) -> int:
     try:
         with open(args.profile) as fh:
             prof = json.load(fh)
@@ -375,18 +382,18 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("toric")
     tsub = p.add_subparsers(dest="toric_cmd", required=True)
-    for name in ("smatrix", "annulus"):
+    for name, func in (("smatrix", cmd_smatrix), ("annulus", cmd_annulus)):
         tp = tsub.add_parser(name)
         tp.add_argument("--q", type=int, required=True)
         tp.add_argument("--lx", type=int, required=True)
         tp.add_argument("--ly", type=int, required=True)
         if name == "smatrix":
             tp.add_argument("--pairs", default="")
-        tp.set_defaults(func=cmd_toric)
+        tp.set_defaults(func=func)
 
     p = sub.add_parser("witness")
     wsub = p.add_subparsers(dest="witness_cmd", required=True)
-    for name in ("mi", "sandwich"):
+    for name, func in (("mi", cmd_mi), ("sandwich", cmd_sandwich)):
         wp = wsub.add_parser(name)
         wp.add_argument("--state", required=True)
         wp.add_argument("--regionA", required=True)
@@ -395,11 +402,11 @@ def build_parser() -> _Parser:
             wp.add_argument("--tol", type=float, default=1e-6)
         else:
             wp.add_argument("--depth", type=int, required=True)
-        wp.set_defaults(func=cmd_witness)
+        wp.set_defaults(func=func)
     wp = wsub.add_parser("assemble")
     wp.add_argument("--profile", required=True)
     wp.add_argument("--certs", required=True)
-    wp.set_defaults(func=cmd_witness)
+    wp.set_defaults(func=cmd_assemble)
 
     p = sub.add_parser("certify")
     p.add_argument("--patches", required=True)

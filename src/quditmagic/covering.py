@@ -15,16 +15,19 @@ the Chinese remainder theorem.
 Tr is Z_q-linear, so the z-parts Tr(t b_k b_i) = sum_j t_j T[j,k,i] of E_t
 and the x-parts sum_j s_j D[j,k,i] of F_s come by one integer contraction
 mod q from T[j,k,i] = Tr(b_j b_k b_i) and D[j,k,i] = Tr(b_j d_k d_i), with b
-the power basis and d its trace dual.  verify_cover marks the base-q codes of
-the members' vectors (first coordinate most significant, so the smallest
-unmarked code is the lexicographically first uncovered vector) in a boolean
-array, counts each member's distinct codes for its order and reads isotropy
-off M J M^T mod q.
+the power basis b_j = xi^j and d its trace dual.  No ring element is formed:
+T[j,k,i] = tau[j+k+i] for the power sums tau_m = Tr(xi^m), the dual basis is
+d_k = sum_a Ginv[a,k] b_a for the inverse mod q of the Gram matrix
+G[a,b] = tau[a+b], and D[j,k,i] = sum_ab T[j,a,b] Ginv[a,k] Ginv[b,i].
+
+verify_cover marks the base-q codes of the members' vectors (first
+coordinate most significant, so the smallest unmarked code is the
+lexicographically first uncovered vector) in a boolean array, counts each
+member's distinct codes for its order and reads isotropy off M J M^T mod q.
 """
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -58,30 +61,11 @@ class CoverReport:
     uncovered: Optional[Tuple[int, ...]]
 
 
-@lru_cache(maxsize=None)
-def _cover_ring(p: int, r: int, n: int) -> ring.GaloisRing:
-    return ring.construct_galois_ring(p, r, n)
-
-
-def _element_index(x: ring.RingElement) -> int:
-    m = x.ring.modulus
-    idx = 0
-    for c in reversed(x.coeffs):
-        idx = idx * m + c
-    return idx
-
-
 def expected_member_count(q: int, n: int) -> int:
     total = 1
     for p, r in ring.factorize(q).factors:
         total *= p ** (n * r) + p ** (n * (r - 1))
     return total
-
-
-def _trace_form(left, mid, right) -> np.ndarray:
-    """[j, k, i] -> Tr(left_j * mid_k * right_i), an n x n x n integer array."""
-    return np.array([[[ring.trace(a * b * c) for c in right] for b in mid] for a in left],
-                    dtype=np.int64)
 
 
 def _digits(count: int, base: int, n: int) -> np.ndarray:
@@ -95,13 +79,22 @@ def _as_members(M: np.ndarray) -> Tuple[Member, ...]:
 
 def cover_prime_power(p: int, r: int, n: int) -> CoverFamily:
     """The E_t / F_s family over q = p^r; size p^{nr} + p^{n(r-1)}."""
-    R = _cover_ring(p, r, n)
+    R = ring.construct_galois_ring(p, r, n)
     q = R.modulus
-    basis = ring.power_basis(R)
-    dual = ring.dual_basis(basis)
+    tau = np.array(ring.power_sums(R, 3 * n - 2), dtype=np.int64)
+    idx = np.arange(n)
+    T = tau[idx[:, None, None] + idx[:, None] + idx]
+    # the trace form G[i, j] = tau[i + j] is invertible mod q: the Howell
+    # form of [G | I] is [I | G^-1]
+    H = linalg.augmented_form(T[0].tolist(), q)
+    if [row[:n] for row in H] != linalg.identity_matrix(n):
+        raise ArithmeticError("trace form singular modulo p^r")
+    Ginv = np.array([row[n:] for row in H], dtype=np.int64)
+    D = np.einsum("jab,ak->jkb", T, Ginv) % q
+    D = np.einsum("jkb,bi->jki", D, Ginv) % q
     sub = p ** (r - 1)
-    E = np.einsum("mj,jki->mki", _digits(R.size, q, n), _trace_form(basis, basis, basis)) % q
-    F = np.einsum("mj,jki->mki", p * _digits(sub ** n, sub, n), _trace_form(basis, dual, dual)) % q
+    E = np.einsum("mj,jki->mki", _digits(R.size, q, n), T) % q
+    F = np.einsum("mj,jki->mki", p * _digits(sub ** n, sub, n), D) % q
     eye = np.eye(n, dtype=np.int64)
     members = np.concatenate([
         np.concatenate([np.broadcast_to(eye, E.shape), E], axis=2),
@@ -179,60 +172,6 @@ def verify_cover(c: CoverFamily, config: RunConfig = DEFAULT_CONFIG) -> CoverRep
         failures=tuple(failures),
         uncovered=uncovered,
     )
-
-
-def _designated_prime_power(p: int, r: int, n: int, vec: Sequence[int]) -> int:
-    """Index of the member the covering proof assigns to vec over q = p^r.
-
-    Writing (x, y) = p^k (x0, y0) with x0 or y0 a unit: if x0 is a unit the
-    member is E_t with t = y0 * x0^{-1}, otherwise F_s with s = x0 * y0^{-1}
-    (which lies in p*R).  The zero vector goes to E_0.
-    """
-    R = _cover_ring(p, r, n)
-    q = R.modulus
-    basis = ring.power_basis(R)
-    dual = ring.dual_basis(basis)
-    x = R.zero()
-    y = R.zero()
-    for i in range(n):
-        x = x + ring.scalar_mul(vec[i] % q, basis[i])
-        y = y + ring.scalar_mul(vec[n + i] % q, dual[i])
-    if x.is_zero() and y.is_zero():
-        return 0
-    k = 0
-    while k < r and all(c % p ** (k + 1) == 0 for c in x.coeffs + y.coeffs):
-        k += 1
-    x0 = R.element([c // p ** k for c in x.coeffs])
-    y0 = R.element([c // p ** k for c in y.coeffs])
-    if ring.is_unit(x0):
-        t = y0 * ring.inverse(x0)
-        return _element_index(t)
-    s = x0 * ring.inverse(y0)
-    sub = p ** (r - 1)
-    idx = 0
-    for c in reversed(s.coeffs):
-        idx = idx * sub + (c // p)
-    return R.size + idx
-
-
-def designated_member(c: CoverFamily, vec: Sequence[int]) -> int:
-    """Index into c.members of the proof's designated member containing vec."""
-    mod = ring.factorize(c.q)
-    parts = [(p, r) for p, r in mod.factors]
-    idx = 0
-    for p, r in parts:
-        qj = p ** r
-        vj = [v % qj for v in vec]
-        size_j = p ** (r * c.n) + p ** ((r - 1) * c.n)
-        idx = idx * size_j + _designated_prime_power(p, r, c.n, vj)
-    return idx
-
-
-def member_group(c: CoverFamily, idx: int) -> stabilizer.StabilizerGroup:
-    """Lift a phase-free member to a validated stabilizer group of order q^n
-    (every generator assigned a phase making the joint +1 eigenspace
-    nonempty)."""
-    return lift_phase_free(c.q, c.n, c.members[idx])
 
 
 def lift_phase_free(q: int, n: int, rows: Sequence[Sequence[int]]) -> stabilizer.StabilizerGroup:

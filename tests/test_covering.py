@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import pytest
 
-from quditmagic import cli, covering, pauli, ring, stabilizer
+from quditmagic import cli, covering, ring, stabilizer
 from quditmagic.config import RunConfig, BudgetExceeded
 
 
@@ -19,26 +19,60 @@ def member_vectors(member, q, n):
     return out
 
 
+def companion(h, m):
+    """Matrix of multiplication by xi on the power basis of Z_m[x]/(h)."""
+    n = len(h) - 1
+    C = [[0] * n for _ in range(n)]
+    for i in range(n):
+        if i + 1 < n:
+            C[i + 1][i] = 1
+        C[i][n - 1] = -h[i] % m
+    return C
+
+
+def mat_mul(A, B, m):
+    return [[sum(a * b for a, b in zip(row, col)) % m for col in zip(*B)] for row in A]
+
+
 def oracle_prime_power(p, r, n):
-    """The E_t / F_s family built element by element in the Galois ring."""
+    """The E_t / F_s family from the multiplication matrices of GR(p^r, n):
+    L_x = sum_j x_j C^j, x*y = L_x y, Tr(x) = trace(L_x), and each dual
+    basis vector found by search over Z_q^n."""
     R = ring.construct_galois_ring(p, r, n)
     q = R.modulus
-    basis = ring.power_basis(R)
-    dual = ring.dual_basis(basis)
+    C = companion(R.h, q)
+    powers = [[[int(i == j) for j in range(n)] for i in range(n)]]
+    for _ in range(n - 1):
+        powers.append(mat_mul(powers[-1], C, q))
+
+    def mult(x):
+        return [[sum(xj * P[i][k] for xj, P in zip(x, powers)) % q for k in range(n)]
+                for i in range(n)]
+
+    def mul(x, y):
+        return [sum(a * b for a, b in zip(row, y)) % q for row in mult(x)]
+
+    def tr(x):
+        return sum(mult(x)[i][i] for i in range(n)) % q
+
+    basis = [[int(i == j) for j in range(n)] for i in range(n)]
+    dual = [None] * n
+    for v in itertools.product(range(q), repeat=n):
+        pairing = [tr(mul(b, v)) for b in basis]
+        if sorted(pairing) == [0] * (n - 1) + [1]:
+            dual[pairing.index(1)] = list(v)
     members, tags = [], []
-    for t_idx in range(R.size):
-        t = R.from_index(t_idx)
+    for t_idx in range(q ** n):
+        t = [t_idx // q ** j % q for j in range(n)]
         members.append(tuple(
-            tuple([int(i == k) for i in range(n)]
-                  + [ring.trace(t * basis[k] * basis[i]) % q for i in range(n)])
+            tuple(basis[k] + [tr(mul(mul(t, basis[k]), b)) for b in basis])
             for k in range(n)))
         tags.append("E:%d" % t_idx)
     sub = p ** (r - 1)
     for s_idx in range(sub ** n):
-        s = R.element([p * (s_idx // sub ** j % sub) for j in range(n)])
+        s = [p * (s_idx // sub ** j % sub) for j in range(n)]
         members.append(tuple(
-            tuple([ring.trace(s * dual[k] * dual[i]) % q for i in range(n)]
-                  + [int(i == k) for i in range(n)])
+            tuple([tr(mul(mul(s, dual[k]), d)) for d in dual] + basis[k])
             for k in range(n)))
         tags.append("F:%d" % s_idx)
     return members, tags
@@ -194,21 +228,11 @@ def test_verify_budget():
         covering.verify_cover(covering.cover_composite(3, 2), cfg)
 
 
-@pytest.mark.parametrize("q,n", [(4, 1), (6, 1), (2, 2)])
-def test_designated_member_exhaustive(q, n):
-    fam = covering.cover_composite(q, n)
-    member_sets = [member_vectors(m, q, n) for m in fam.members]
-    for vec in itertools.product(range(q), repeat=2 * n):
-        idx = covering.designated_member(fam, vec)
-        assert 0 <= idx < len(fam.members)
-        assert vec in member_sets[idx]
-
-
 @pytest.mark.parametrize("q,n", [(2, 2), (6, 1), (4, 1)])
 def test_lifted_members_are_maximal_groups(q, n):
     fam = covering.cover_composite(q, n)
     for idx in range(len(fam.members)):
-        S = covering.member_group(fam, idx)
+        S = covering.lift_phase_free(fam.q, fam.n, fam.members[idx])
         assert S.order == q ** n
         # a maximal group defines a pure projection state
         assert stabilizer.StabilizerProjectionState(S).rank == 1
