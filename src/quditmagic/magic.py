@@ -31,7 +31,8 @@ onto the equalities of the decomposition's atoms, whichever certifies
 more); LF's bracket is one point.  The value is the upper end in the
 configured log units, the gap the bracket's width in those units, and the
 status "exact" iff upper - lower < GAP_TOL, else "upper-estimate".  Only
-the LP, posed in Pauli coordinates, loads scipy.optimize, on first use.
+the LP, posed in Pauli coordinates, loads scipy (the sparse matrices and
+the HiGHS bindings in scipy.optimize), on first use.
 Also the patch-certificate machinery turning trace-distance lower bounds
 on small patches into global fidelity/entropy lower bounds.
 """
@@ -100,6 +101,14 @@ class StabilizerDictionary:
         T[self.labels, np.arange(len(e))[:, None]] = np.exp(1j * np.pi * e / q).round(15)
         return np.concatenate([T[re].real, T[im].imag]), np.exp(-1j * np.pi * ab / q), re, im
 
+    @cached_property
+    def split_lp(self):
+        """The CSC matrix [H, -H] of lr_lp's equalities on the split c = u - w,
+        from pauli_lp's H."""
+        from scipy.sparse import csc_array, hstack
+        H = csc_array(self.pauli_lp[0])
+        return hstack([H, -H], format="csc")
+
 
 def build_dictionary(n: int, q: int, config: RunConfig = DEFAULT_CONFIG) -> StabilizerDictionary:
     """Dense vectors of every pure stabilizer state on (n, q), and their groups' elements."""
@@ -144,6 +153,9 @@ def lr_lp(rho: np.ndarray, dic: StabilizerDictionary,
     in Pauli coordinates (Howard & Campbell, PRL 118, 090501 (2017)): a row
     is Re or Im of omega_{2q}^{-a.b} Tr(P^dag X) for a label P = Z^a X^b, P
     and P^dag counted once, so column k has a nonzero per element at most.
+    HiGHS's dual simplex (simplex.solve_lp) solves it on the dictionary's
+    CSC matrix [H, -H] (dic.split_lp, built once per dictionary); the dense
+    H serves the certificate arithmetic below.
 
     The bracket on 1 + 2R runs from Tr(A rho) / max(1, max_k |Tr(A phi_k)|),
     a dual witness A scaled to feasibility (weak duality), to the primal
@@ -162,7 +174,7 @@ def lr_lp(rho: np.ndarray, dic: StabilizerDictionary,
     H, rot, re, im = dic.pauli_lp
     t = rot * _pauli_transform(rho, q, n).ravel()
     b = np.concatenate([t[re].real, t[im].imag])
-    sol = simplex.solve_lp(np.hstack([H, -H]), b, np.ones(2 * K))
+    sol = simplex.solve_lp(dic.split_lp, b, np.ones(2 * K))
     coeffs = sol.x[:K] - sol.x[K:]
     if float(np.max(np.abs(sol.dual @ H))) > 1.0 + 1e-8:
         raise ArithmeticError("dual witness violates |Tr(A sigma)| <= 1")

@@ -1,13 +1,25 @@
-"""Standard-form LP  min c.x  s.t.  A x = b, x >= 0  on scipy's HiGHS dual
-simplex ("highs-ds").
+"""Standard-form LP  min c.x  s.t.  A x = b, x >= 0  on HiGHS's dual simplex,
+called through scipy's bundled bindings (scipy.optimize._highspy._core).
+
+The solve gets the options that scipy's linprog(method="highs-ds") sets
+(presolve on, the dual simplex strategy, no output) and returns the same x,
+objective and row duals, bit for bit, without linprog's per-call input
+cleaning and option checks, which cost more than the solve on small LPs.
+linprog's guards are kept: a status other than optimal raises, and an
+"optimal" x must be finite, nonnegative and satisfy A x = b within
+linprog's tolerance 10 sqrt(1e-9).
 
 The module name stays `simplex` because the benchmark's tracer
 (perfbench/tracer.py) imports `quditmagic.simplex` for its span targets.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
+
+# linprog's _check_result tolerance: 10 sqrt(tol) at its default tol = 1e-9
+RESIDUAL_TOL = 10 * math.sqrt(1e-9)
 
 
 class Infeasible(Exception):
@@ -25,13 +37,48 @@ class LpSolution:
     dual: np.ndarray     # y with y.A <= c (componentwise, up to tolerance)
 
 
-def solve_lp(A: np.ndarray, b: np.ndarray, c: np.ndarray) -> LpSolution:
-    import scipy.optimize  # on first use, so commands without an LP never load it
-    res = scipy.optimize.linprog(c, A_eq=A, b_eq=b, bounds=(0, None), method="highs-ds")
-    if res.status == 2:
-        raise Infeasible(res.message)
-    if res.status == 3:
-        raise Unbounded(res.message)
-    if res.status != 0:
-        raise ArithmeticError(res.message)
-    return LpSolution(x=res.x, value=float(res.fun), dual=res.eqlin.marginals)
+def solve_lp(A, b: np.ndarray, c: np.ndarray) -> LpSolution:
+    """Solve with A dense or a scipy.sparse matrix; a CSC A is passed as is."""
+    # on first use, so commands without an LP never load scipy.optimize
+    from scipy.optimize._highspy import _core as highspy
+    from scipy.sparse import csc_array
+
+    A = csc_array(A)
+    m, n = A.shape
+    lp = highspy.HighsLp()
+    lp.num_col_ = lp.a_matrix_.num_col_ = n
+    lp.num_row_ = lp.a_matrix_.num_row_ = m
+    lp.a_matrix_.format_ = highspy.MatrixFormat.kColwise
+    lp.a_matrix_.start_, lp.a_matrix_.index_, lp.a_matrix_.value_ = A.indptr, A.indices, A.data
+    lp.col_cost_ = c
+    lp.col_lower_, lp.col_upper_ = np.zeros(n), np.full(n, highspy.kHighsInf)
+    lp.row_lower_ = lp.row_upper_ = b
+
+    highs = highspy._Highs()
+    dual = highspy.simplex_constants.SimplexStrategy.kSimplexStrategyDual
+    for option, value in (("presolve", "on"), ("solver", "simplex"), ("simplex_strategy", dual),
+                          ("highs_debug_level", highspy.kHighsDebugLevelNone),
+                          ("output_flag", False), ("log_to_console", False)):
+        if highs.setOptionValue(option, value) == highspy.HighsStatus.kError:
+            raise ArithmeticError("HiGHS rejected option %s = %r" % (option, value))
+    if highs.passModel(lp) == highspy.HighsStatus.kError:
+        raise ArithmeticError("HiGHS rejected the model")
+    ran = highs.run() != highspy.HighsStatus.kError
+    status = highs.getModelStatus()
+    message = "HiGHS model status: " + highs.modelStatusToString(status)
+    if status == highspy.HighsModelStatus.kInfeasible:
+        raise Infeasible(message)
+    if status == highspy.HighsModelStatus.kUnbounded:
+        raise Unbounded(message)
+    if not ran or status != highspy.HighsModelStatus.kOptimal:
+        raise ArithmeticError(message)
+
+    solution = highs.getSolution()
+    x = np.array(solution.col_value)
+    value = highs.getInfo().objective_function_value
+    residual = b - np.array(solution.row_value)
+    if (np.isnan(x).any() or math.isnan(value) or np.isnan(residual).any()
+            or (x < -RESIDUAL_TOL).any() or (np.abs(residual) > RESIDUAL_TOL).any()):
+        raise ArithmeticError("HiGHS reported optimal, but x violates x >= 0 or A x = b "
+                              "by more than %.2e" % RESIDUAL_TOL)
+    return LpSolution(x=x, value=float(value), dual=np.array(solution.row_dual))

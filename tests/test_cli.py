@@ -9,7 +9,9 @@ import numpy as np
 import pytest
 
 import quditmagic
-from quditmagic import cli, dense, magic, pauli, stabilizer
+from quditmagic import cli, magic, pauli, stabilizer
+
+import dense_oracles
 
 
 def run_cli(capsys, argv):
@@ -28,7 +30,7 @@ def write_state(tmp_path, q, n, amps, name="state.json"):
     v = np.asarray(amps, dtype=complex)
     v = v / np.linalg.norm(v)
     path = tmp_path / name
-    path.write_text(dense.state_to_json(q, n, v))
+    path.write_text(dense_oracles.state_to_json(q, n, v))
     return str(path)
 
 

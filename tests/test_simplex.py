@@ -1,18 +1,21 @@
-"""Contract of `simplex.solve_lp`, the adapter over scipy's HiGHS dual simplex.
+"""Contract of `simplex.solve_lp`, the adapter over HiGHS's dual simplex.
 
 These pin the adapter: exceptions, sign-flipped and redundant rows, a
-degenerate vertex, primal and dual feasibility and strong duality.  Since the
-adapter itself calls `linprog`, the comparison with `reference_solve` in
-`test_matches_reference_solver` checks the adapter's mapping of linprog's
-result (value, x, dual, status); the certificate assertions (feasibility and
-strong duality) carry the correctness check.
+degenerate vertex, primal and dual feasibility and strong duality, and
+linprog's guards on HiGHS's answer.  The adapter calls HiGHS through
+scipy's bindings, so `reference_solve` (linprog's "highs", which picks its
+own solver) is a second path to the optimum, and
+`test_bit_identical_to_linprog_on_lr_lps` pins the adapter's options to
+linprog's "highs-ds" on the LPs that `magic.lr_lp` poses.
 """
 
 import numpy as np
 import pytest
 import scipy.optimize
+from scipy.optimize._highspy import _core as highspy
 
-from quditmagic import simplex
+from quditmagic import dense, magic, simplex
+from quditmagic.config import RunConfig
 
 
 def random_feasible_lp(rng, m, n):
@@ -51,6 +54,17 @@ def test_matches_reference_solver(seed):
     # dual feasibility and strong duality
     assert np.all(sol.dual @ A <= c + 1e-7)
     assert abs(sol.dual @ b - sol.value) < 1e-7
+    assert_same_as_highs_ds(sol, A, b, c)
+
+
+def assert_same_as_highs_ds(sol, A, b, c):
+    # the adapter sets the options linprog's "highs-ds" sets; an option
+    # that drifts with scipy's defaults moves x, the value or the dual
+    ref = scipy.optimize.linprog(c, A_eq=A, b_eq=b, bounds=(0, None), method="highs-ds")
+    assert ref.status == 0
+    assert np.array_equal(sol.x, ref.x)
+    assert sol.value == ref.fun
+    assert np.array_equal(sol.dual, ref.eqlin.marginals)
 
 
 def test_unbounded_detected():
@@ -87,6 +101,8 @@ def test_redundant_rows():
     sol = simplex.solve_lp(A, b, c)
     assert abs(sol.value - 1.0) < 1e-9
     assert np.allclose(A @ sol.x, b, atol=1e-9)
+    # presolve drops the redundant row
+    assert_same_as_highs_ds(sol, A, b, c)
 
 
 def test_degenerate_vertex_terminates():
@@ -97,12 +113,63 @@ def test_degenerate_vertex_terminates():
     sol = simplex.solve_lp(A, b, c)
     assert abs(sol.value + 1.0) < 1e-9
     assert abs(sol.x[0] - 1.0) < 1e-9
+    assert_same_as_highs_ds(sol, A, b, c)
+
+
+# linprog's status codes: 1 iteration limit, 4 numerical trouble
+STOPPED = {1: highspy.HighsModelStatus.kIterationLimit, 4: highspy.HighsModelStatus.kSolveError}
 
 
 @pytest.mark.parametrize("status", [1, 4])
 def test_other_status_raises(status, monkeypatch):
-    # iteration limit (1) and numerical trouble (4) must not pass as optima
-    fake = scipy.optimize.OptimizeResult(status=status, message="stopped", x=None, fun=None)
-    monkeypatch.setattr(scipy.optimize, "linprog", lambda *args, **kwargs: fake)
-    with pytest.raises(ArithmeticError, match="stopped"):
+    # an iteration limit or a solve error must not pass as an optimum
+    class Stopped(highspy._Highs):
+        def getModelStatus(self):
+            return STOPPED[status]
+
+    monkeypatch.setattr(highspy, "_Highs", Stopped)
+    message = highspy._Highs().modelStatusToString(STOPPED[status])
+    with pytest.raises(ArithmeticError, match=message):
         simplex.solve_lp(np.eye(1), np.ones(1), np.ones(1))
+
+
+@pytest.mark.parametrize("field,shift", [("row_value", 1e-3), ("col_value", -1e-3)])
+def test_optimal_outside_tolerance_raises(field, shift, monkeypatch):
+    # an "optimal" answer off A x = b, or below x >= 0, by more than
+    # linprog's 10 sqrt(1e-9) is rejected, as linprog's _check_result does
+    class Off(highspy._Highs):
+        def getSolution(self):
+            solution = super().getSolution()
+            setattr(solution, field, [v + shift for v in getattr(solution, field)])
+            return solution
+
+    A = np.array([[1.0, 1.0]])
+    b = np.array([0.0])
+    c = np.array([1.0, 1.0])
+    assert simplex.solve_lp(A, b, c).value == 0.0
+    monkeypatch.setattr(highspy, "_Highs", Off)
+    with pytest.raises(ArithmeticError, match="HiGHS reported optimal"):
+        simplex.solve_lp(A, b, c)
+
+
+def random_state(q, n, seed):
+    rng = np.random.default_rng(seed)
+    v = rng.normal(size=q ** n) + 1j * rng.normal(size=q ** n)
+    return v / np.linalg.norm(v)
+
+
+@pytest.mark.parametrize("n,q", [(1, 2), (1, 3), (2, 2), (2, 3)])
+def test_bit_identical_to_linprog_on_lr_lps(n, q, monkeypatch):
+    lps = []
+    solve = simplex.solve_lp
+
+    def recorded(A, b, c):
+        lps.append((A, b, c))
+        return solve(A, b, c)
+
+    monkeypatch.setattr(magic.simplex, "solve_lp", recorded)
+    dic = magic.build_dictionary(n, q, RunConfig())
+    for seed in range(3):
+        magic.lr_lp(dense.density_of(random_state(q, n, seed)), dic)
+    for A, b, c in lps:
+        assert_same_as_highs_ds(solve(A, b, c), A.toarray(), b, c)
