@@ -31,15 +31,15 @@ onto the equalities of the decomposition's atoms, whichever certifies
 more); LF's bracket is one point.  The value is the upper end in the
 configured log units, the gap the bracket's width in those units, and the
 status "exact" iff upper - lower < GAP_TOL, else "upper-estimate".  Only
-the LP, posed in Pauli coordinates, loads scipy (the sparse matrices and
-the HiGHS bindings in scipy.optimize), on first use.
+the LP, posed in Pauli coordinates, loads anything of scipy: HiGHS's
+bindings, on its first solve, without scipy.optimize or scipy.sparse.
 Also the patch-certificate machinery turning trace-distance lower bounds
 on small patches into global fidelity/entropy lower bounds.
 """
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -102,12 +102,13 @@ class StabilizerDictionary:
         return np.concatenate([T[re].real, T[im].imag]), np.exp(-1j * np.pi * ab / q), re, im
 
     @cached_property
-    def split_lp(self):
-        """The CSC matrix [H, -H] of lr_lp's equalities on the split c = u - w,
-        from pauli_lp's H."""
-        from scipy.sparse import csc_array, hstack
-        H = csc_array(self.pauli_lp[0])
-        return hstack([H, -H], format="csc")
+    def split_lp(self) -> simplex.Csc:
+        """[H, -H], lr_lp's equalities on the split c = u - w, by columns:
+        simplex.csc of pauli_lp's H, its arrays concatenated with their negation."""
+        H = simplex.csc(self.pauli_lp[0])
+        m, K = H.shape
+        return simplex.Csc((m, 2 * K), np.concatenate([H.start, H.start[1:] + H.start[-1]]),
+                           np.concatenate([H.index, H.index]), np.concatenate([H.value, -H.value]))
 
 
 def build_dictionary(n: int, q: int, config: RunConfig = DEFAULT_CONFIG) -> StabilizerDictionary:
@@ -154,8 +155,8 @@ def lr_lp(rho: np.ndarray, dic: StabilizerDictionary,
     is Re or Im of omega_{2q}^{-a.b} Tr(P^dag X) for a label P = Z^a X^b, P
     and P^dag counted once, so column k has a nonzero per element at most.
     HiGHS's dual simplex (simplex.solve_lp) solves it on the dictionary's
-    CSC matrix [H, -H] (dic.split_lp, built once per dictionary); the dense
-    H serves the certificate arithmetic below.
+    [H, -H] by columns (dic.split_lp, a simplex.Csc built once per
+    dictionary); the dense H serves the certificate arithmetic below.
 
     The bracket on 1 + 2R runs from Tr(A rho) / max(1, max_k |Tr(A phi_k)|),
     a dual witness A scaled to feasibility (weak duality), to the primal
@@ -626,18 +627,31 @@ def distance_to_sps(rho: np.ndarray, n: int, q: int,
 # Stabilizer-measurement distinguishability
 # ---------------------------------------------------------------------------
 
-def _site_axes(q: int, n: int) -> Tuple[List[int], Tuple[np.ndarray, ...]]:
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+@lru_cache(maxsize=16)
+def _site_axes(q: int, n: int) -> Tuple[Tuple[int, ...], Tuple[np.ndarray, ...]]:
     """(perm, index): M.reshape([q] * 2n).transpose(perm) puts site i of M's
     row and column on axes i and n + i, where X[index][k, b] = X[k, k - b]."""
-    sites = list(range(n - 1, -1, -1))  # the row-major reshape puts site 0 last
+    sites = tuple(range(n - 1, -1, -1))  # the row-major reshape puts site 0 last
     grid = np.indices([q] * (2 * n))
     k, b = grid[:n], grid[n:]
-    return sites + [n + s for s in sites], tuple(k) + tuple((k - b) % q)
+    index = tuple(k) + tuple((k - b) % q)
+    return sites + tuple(n + s for s in sites), tuple(map(_read_only, index))
+
+
+@lru_cache(maxsize=16)
+def _character_table(q: int) -> np.ndarray:
+    """F[a, k] = omega^{-a k}."""
+    return _read_only(np.exp(-2j * np.pi * (np.outer(np.arange(q), np.arange(q)) % q) / q))
 
 
 def _characters(X: np.ndarray, q: int, n: int) -> np.ndarray:
     """sum_k omega^{-a.k} X[k, ...] over the first n axes, a q x q product per site."""
-    F = np.exp(-2j * np.pi * (np.outer(np.arange(q), np.arange(q)) % q) / q)
+    F = _character_table(q)
     for i in range(n):
         X = np.moveaxis(np.tensordot(F, X, axes=(1, i)), 0, i)
     return X

@@ -9,17 +9,28 @@ linprog's guards are kept: a status other than optimal raises, and an
 "optimal" x must be finite, nonnegative and satisfy A x = b within
 linprog's tolerance 10 sqrt(1e-9).
 
+The bindings are one extension file.  `_highs` loads it straight from
+scipy's directory under its own module name, so a solve imports neither
+scipy.optimize nor scipy.sparse, whose import costs more time and memory
+than a small `magic` command's work, and a later `import scipy.optimize`
+reuses the loaded module.  `csc` puts a dense A in the column-compressed
+form HiGHS takes, the arrays scipy.sparse.csc_array holds.
+
 The module name stays `simplex` because the benchmark's tracer
 (perfbench/tracer.py) imports `quditmagic.simplex` for its span targets.
 """
 
 import math
+import os
+import sys
 from dataclasses import dataclass
+from typing import NamedTuple, Tuple
 
 import numpy as np
 
 # linprog's _check_result tolerance: 10 sqrt(tol) at its default tol = 1e-9
 RESIDUAL_TOL = 10 * math.sqrt(1e-9)
+HIGHS_MODULE = "scipy.optimize._highspy._core"
 
 
 class Infeasible(Exception):
@@ -37,19 +48,62 @@ class LpSolution:
     dual: np.ndarray     # y with y.A <= c (componentwise, up to tolerance)
 
 
-def solve_lp(A, b: np.ndarray, c: np.ndarray) -> LpSolution:
-    """Solve with A dense or a scipy.sparse matrix; a CSC A is passed as is."""
-    # on first use, so commands without an LP never load scipy.optimize
-    from scipy.optimize._highspy import _core as highspy
-    from scipy.sparse import csc_array
+class Csc(NamedTuple):
+    """An m x n matrix by columns: column j's nonzeros are value[start[j]:start[j + 1]],
+    in rows index[start[j]:start[j + 1]], ascending."""
+    shape: Tuple[int, int]
+    start: np.ndarray
+    index: np.ndarray
+    value: np.ndarray
 
-    A = csc_array(A)
+
+def csc(A) -> Csc:
+    """Dense A by columns, exact zeros dropped: the indptr, indices and data
+    of scipy.sparse.csc_array(A), with HiGHS's 32-bit indices."""
+    A = np.asarray(A)
+    cols, rows = np.nonzero(A.T)
+    start = np.zeros(A.shape[1] + 1, dtype=np.int32)
+    np.cumsum(np.bincount(cols, minlength=A.shape[1]), out=start[1:])
+    return Csc(A.shape, start, rows.astype(np.int32), A.T[cols, rows])
+
+
+def _highs():
+    """scipy's HiGHS bindings: the module already in sys.modules, loaded by
+    scipy.optimize or by an earlier call, else the extension file run under
+    the module's own name and registered there, where a later import of
+    scipy.optimize finds it."""
+    highspy = sys.modules.get(HIGHS_MODULE)
+    if highspy is None:
+        import importlib.machinery
+        import importlib.util
+
+        import scipy
+
+        where = os.path.join(os.path.dirname(scipy.__file__), "optimize", "_highspy")
+        spec = importlib.machinery.PathFinder.find_spec(HIGHS_MODULE, [where])
+        if spec is None:
+            raise ImportError("no HiGHS bindings (_core) in %s" % where, name=HIGHS_MODULE)
+        highspy = importlib.util.module_from_spec(spec)
+        sys.modules[HIGHS_MODULE] = highspy
+        try:
+            spec.loader.exec_module(highspy)
+        except BaseException:
+            del sys.modules[HIGHS_MODULE]
+            raise
+    return highspy
+
+
+def solve_lp(A, b: np.ndarray, c: np.ndarray) -> LpSolution:
+    """Solve with A dense or a Csc; a Csc is passed to HiGHS as is."""
+    highspy = _highs()
+    if not isinstance(A, Csc):
+        A = csc(A)
     m, n = A.shape
     lp = highspy.HighsLp()
     lp.num_col_ = lp.a_matrix_.num_col_ = n
     lp.num_row_ = lp.a_matrix_.num_row_ = m
     lp.a_matrix_.format_ = highspy.MatrixFormat.kColwise
-    lp.a_matrix_.start_, lp.a_matrix_.index_, lp.a_matrix_.value_ = A.indptr, A.indices, A.data
+    lp.a_matrix_.start_, lp.a_matrix_.index_, lp.a_matrix_.value_ = A.start, A.index, A.value
     lp.col_cost_ = c
     lp.col_lower_, lp.col_upper_ = np.zeros(n), np.full(n, highspy.kHighsInf)
     lp.row_lower_ = lp.row_upper_ = b

@@ -41,7 +41,7 @@ def t_state_path(tmp_path):
 
 
 def test_cli_import_does_not_load_sympy():
-    # nor any part of scipy: the LP loads scipy.optimize when it first runs
+    # nor any part of scipy: the LP loads HiGHS's bindings when it first runs
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(quditmagic.__file__)))
     out = subprocess.run(
         [sys.executable, "-c", "import sys, quditmagic.cli; "
@@ -52,14 +52,16 @@ def test_cli_import_does_not_load_sympy():
 
 
 # Each case runs in a fresh interpreter: the exit code of cli.main, then
-# whether scipy.optimize was loaded by the import or by the command.
+# whether scipy.optimize, scipy.sparse and HiGHS's bindings were loaded by
+# the import or by the command.
 OPTIMIZER_PROBE = """
 import contextlib, io, sys
 from quditmagic import cli
 argv = sys.argv[1:]
 with contextlib.redirect_stdout(io.StringIO()):
     code = cli.main(argv) if argv else 0
-print(code, "scipy.optimize" in sys.modules)
+print(code, *(m in sys.modules
+              for m in ("scipy.optimize", "scipy.sparse", "scipy.optimize._highspy._core")))
 """
 
 
@@ -72,13 +74,15 @@ print(code, "scipy.optimize" in sys.modules)
     (["magic", "--state", "T_STATE", "--measures", "lf,srel,smax,lgr"], False),
 ], ids=["import", "cover", "certify", "magic", "magic-lf-smax-lgr", "magic-lf-srel-smax-lgr"])
 def test_only_magic_loads_scipy_optimize(tmp_path, argv, loaded):
+    # only the LR LP loads HiGHS's bindings, and without scipy.optimize or
+    # scipy.sparse
     argv = [t_state_path(tmp_path) if a == "T_STATE" else a for a in argv]
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(quditmagic.__file__)))
     out = subprocess.run(
         [sys.executable, "-c", OPTIMIZER_PROBE] + argv,
         env=env, capture_output=True, text=True, check=True,
     )
-    assert out.stdout.split() == ["0", str(loaded)], out.stderr
+    assert out.stdout.split() == ["0", "False", "False", str(loaded)], out.stderr
 
 
 def test_cover_report(capsys):

@@ -6,12 +6,19 @@ linprog's guards on HiGHS's answer.  The adapter calls HiGHS through
 scipy's bindings, so `reference_solve` (linprog's "highs", which picks its
 own solver) is a second path to the optimum, and
 `test_bit_identical_to_linprog_on_lr_lps` pins the adapter's options to
-linprog's "highs-ds" on the LPs that `magic.lr_lp` poses.
+linprog's "highs-ds" on the LPs that `magic.lr_lp` poses.  `simplex.csc`
+and `dic.split_lp` are pinned to scipy.sparse's arrays, and the load-order
+tests pin that the adapter and scipy.optimize share one bindings module.
 """
+
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 import scipy.optimize
+import scipy.sparse
 from scipy.optimize._highspy import _core as highspy
 
 from quditmagic import dense, magic, simplex
@@ -172,4 +179,96 @@ def test_bit_identical_to_linprog_on_lr_lps(n, q, monkeypatch):
     for seed in range(3):
         magic.lr_lp(dense.density_of(random_state(q, n, seed)), dic)
     for A, b, c in lps:
-        assert_same_as_highs_ds(solve(A, b, c), A.toarray(), b, c)
+        dense_A = scipy.sparse.csc_array((A.value, A.index, A.start), shape=A.shape).toarray()
+        assert_same_as_highs_ds(solve(A, b, c), dense_A, b, c)
+
+
+def assert_same_csc(ours, ref):
+    assert ours.shape == ref.shape
+    for mine, theirs in ((ours.start, ref.indptr), (ours.index, ref.indices), (ours.value, ref.data)):
+        assert mine.dtype == theirs.dtype
+        assert np.array_equal(mine, theirs)
+
+
+def with_exact_zeros(seed):
+    rng = np.random.default_rng(seed)
+    m, n = rng.integers(1, 9, size=2)
+    return rng.normal(size=(m, n)) * (rng.uniform(size=(m, n)) < 0.5)
+
+
+@pytest.mark.parametrize("A", [with_exact_zeros(seed) for seed in range(10)] + [
+    np.array([[1.0, 0.0, -2.0], [0.0, 0.0, 3.0]]),    # an all-zero column
+    np.array([[0.0, 0.0, 0.0], [4.0, 0.0, -5.0]]),    # an all-zero row
+    np.zeros((2, 3)),
+], ids=["random-%d" % seed for seed in range(10)] + ["zero-column", "zero-row", "zero"])
+def test_csc_matches_scipy(A):
+    # exact zeros are dropped and rows run ascending, as in csc_array
+    assert_same_csc(simplex.csc(A), scipy.sparse.csc_array(A))
+
+
+@pytest.mark.parametrize("n,q", [(1, 2), (2, 3)])
+def test_split_lp_is_hstack_of_h_and_minus_h(n, q):
+    dic = magic.build_dictionary(n, q, RunConfig())
+    H = scipy.sparse.csc_array(dic.pauli_lp[0])
+    assert_same_csc(dic.split_lp, scipy.sparse.hstack([H, -H], format="csc"))
+
+
+# Each order runs in a fresh interpreter, so that which module loads HiGHS
+# first is the order under test.
+LOAD_ORDER_PROBE = """
+import sys
+import numpy as np
+from quditmagic import simplex
+
+A, b, c = np.array([[1.0, 1.0]]), np.array([1.0]), np.array([1.0, 2.0])
+if sys.argv[1] == "lp-first":
+    assert simplex.solve_lp(A, b, c).value == 1.0
+    core = sys.modules[simplex.HIGHS_MODULE]
+    assert "scipy.optimize" not in sys.modules
+    import scipy.optimize
+    from scipy.optimize._highspy import _core
+    assert _core is core and simplex._highs() is core
+    res = scipy.optimize.linprog(c, A_eq=A, b_eq=b, bounds=(0, None), method="highs-ds")
+    assert res.status == 0 and res.fun == 1.0
+else:
+    import scipy.optimize
+    from scipy.optimize._highspy import _core
+
+    class Stopped(_core._Highs):
+        def getModelStatus(self):
+            return _core.HighsModelStatus.kIterationLimit
+
+    _core._Highs = Stopped   # reaches the solver only through the same module
+    try:
+        simplex.solve_lp(A, b, c)
+        raise SystemExit("the patched _Highs was not used")
+    except ArithmeticError:
+        pass
+    assert simplex._highs() is _core
+print("ok")
+"""
+
+
+def src_path():
+    return os.path.dirname(os.path.dirname(simplex.__file__))
+
+
+@pytest.mark.parametrize("order", ["lp-first", "scipy-optimize-first"])
+def test_one_highs_module_in_either_load_order(order):
+    env = dict(os.environ, PYTHONPATH=src_path())
+    out = subprocess.run([sys.executable, "-c", LOAD_ORDER_PROBE, order],
+                         env=env, capture_output=True, text=True)
+    assert out.stdout.split() == ["ok"], out.stderr
+
+
+def test_missing_bindings_name_the_directory(tmp_path):
+    # a scipy without the extension file: no fallback, an ImportError
+    # naming where the loader looked
+    (tmp_path / "scipy").mkdir()
+    (tmp_path / "scipy" / "__init__.py").write_text("")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(tmp_path), src_path()]))
+    out = subprocess.run([sys.executable, "-c", "from quditmagic import simplex; simplex._highs()"],
+                         env=env, capture_output=True, text=True)
+    assert out.returncode != 0
+    where = os.path.join(str(tmp_path), "scipy", "optimize", "_highspy")
+    assert "ImportError: no HiGHS bindings (_core) in %s" % where in out.stderr
