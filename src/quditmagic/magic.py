@@ -31,7 +31,7 @@ onto the equalities of the decomposition's atoms, whichever certifies
 more); LF's bracket is one point.  The value is the upper end in the
 configured log units, the gap the bracket's width in those units, and the
 status "exact" iff upper - lower < GAP_TOL, else "upper-estimate".  Only
-the LP, posed in Pauli coordinates, loads anything of scipy: HiGHS's
+the LP, sparse in Pauli coordinates, loads anything of scipy: HiGHS's
 bindings, on its first solve, without scipy.optimize or scipy.sparse.
 Also the patch-certificate machinery turning trace-distance lower bounds
 on small patches into global fidelity/entropy lower bounds.
@@ -85,27 +85,36 @@ class StabilizerDictionary:
         return np.column_stack(self.vectors)
 
     @cached_property
-    def pauli_lp(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    def pauli_lp(self) -> Tuple[simplex.Csc, np.ndarray, np.ndarray, np.ndarray]:
         """(H, rot, re, im) of lr_lp's equalities: a row is Re (labels re: P = P^dag,
         or the lesser of P, P^dag) or Im (labels im) of rot = omega_{2q}^{-a.b}
         times a Pauli transform; phi_k phi_k^dag's, H's column k, is omega_{2q}^c
-        at the labels of its group's elements and 0 elsewhere."""
+        at the labels of its group's elements: their Re rows, then their Im
+        rows, each ascending with the sorted labels, exact zeros dropped."""
         q, n = self.q, self.n
         grid = np.indices([q] * (2 * n)).reshape(2 * n, -1)
         flat, adjoint = np.arange(q ** (2 * n)), q ** np.arange(2 * n - 1, -1, -1) @ (-grid % q)
         re, im = np.flatnonzero(flat <= adjoint), np.flatnonzero(flat < adjoint)
         ab = np.sum(grid[:n] * grid[n:], axis=0)
-        e = (self.phases - ab[self.labels]) % (2 * q)   # the exponents of rot * omega_{2q}^c
-        T = np.zeros((len(ab), len(e)), dtype=complex)
+        order = np.argsort(self.labels, axis=1)
+        labels = np.take_along_axis(self.labels, order, axis=1)
+        e = (np.take_along_axis(self.phases, order, axis=1) - ab[labels]) % (2 * q)
         # round off the ulp by which exp misses the zeros of cos and sin
-        T[self.labels, np.arange(len(e))[:, None]] = np.exp(1j * np.pi * e / q).round(15)
-        return np.concatenate([T[re].real, T[im].imag]), np.exp(-1j * np.pi * ab / q), re, im
+        z = np.exp(1j * np.pi * e / q).round(15)
+        row = np.full((2, len(flat)), -1, dtype=np.int32)   # a label's Re and Im rows, or -1
+        row[0, re], row[1, im] = np.arange(len(re)), len(re) + np.arange(len(im))
+        rows = np.concatenate(row[:, labels], axis=1)
+        values = np.concatenate([z.real, z.imag], axis=1)
+        kept = (rows >= 0) & (values != 0)
+        start = np.append(0, np.cumsum(np.count_nonzero(kept, axis=1))).astype(np.int32)
+        H = simplex.Csc((len(flat), len(labels)), start, rows[kept], values[kept])
+        return H, np.exp(-1j * np.pi * ab / q), re, im
 
     @cached_property
     def split_lp(self) -> simplex.Csc:
         """[H, -H], lr_lp's equalities on the split c = u - w, by columns:
-        simplex.csc of pauli_lp's H, its arrays concatenated with their negation."""
-        H = simplex.csc(self.pauli_lp[0])
+        pauli_lp's H, its arrays concatenated with their negation."""
+        H = self.pauli_lp[0]
         m, K = H.shape
         return simplex.Csc((m, 2 * K), np.concatenate([H.start, H.start[1:] + H.start[-1]]),
                            np.concatenate([H.index, H.index]), np.concatenate([H.value, -H.value]))
@@ -145,7 +154,7 @@ class LrResult:
     lr: MeasureValue      # LR = log(1 + 2R)
     optimum: float        # 1 + 2R, the primal cost
     coeffs: np.ndarray    # signed decomposition weights per dictionary state
-    witness: np.ndarray   # dual Hermitian A behind the bracket's lower end
+    dual: np.ndarray      # y in lr_lp's rows behind the bracket's lower end
 
 
 def lr_lp(rho: np.ndarray, dic: StabilizerDictionary,
@@ -155,20 +164,22 @@ def lr_lp(rho: np.ndarray, dic: StabilizerDictionary,
     is Re or Im of omega_{2q}^{-a.b} Tr(P^dag X) for a label P = Z^a X^b, P
     and P^dag counted once, so column k has a nonzero per element at most.
     HiGHS's dual simplex (simplex.solve_lp) solves it on the dictionary's
-    [H, -H] by columns (dic.split_lp, a simplex.Csc built once per
-    dictionary); the dense H serves the certificate arithmetic below.
+    [H, -H] by columns (dic.split_lp, built once per dictionary), and the
+    certificate reads H by columns, expanding only the atoms (c_k != 0).
 
     The bracket on 1 + 2R runs from Tr(A rho) / max(1, max_k |Tr(A phi_k)|),
     a dual witness A scaled to feasibility (weak duality), to the primal
-    cost sum |c_k|.  HiGHS's dual may overshoot feasibility by ~1e-9, which
-    the scaling turns into a bracket wider than GAP_TOL, so the dual is
-    also moved by the least-norm change that makes Tr(A phi_k) = sign(c_k)
-    on the atoms with c_k != 0, complementary slackness at the primal
-    optimum; of the two witnesses, the one with the higher lower end is
-    kept.  Both are certified, and a raw dual that overshoots by more than
-    1e-8 is an error.  The primal residual E = sum c_k phi_k - rho (max-norm
-    1e-13 at most, measured on 18 random states at (2,3), (3,2) and (2,4))
-    is outside the bracket: the lower end is computed on rho itself, while
+    cost sum |c_k|; a dual y in the LP's rows is the Hermitian part A of
+    sum_P omega_{2q}^{a.b} (y_re + i y_im)_P P, Tr(A rho) = y.b and
+    Tr(A phi_k) = (y.H)_k.  HiGHS's dual may overshoot feasibility by ~1e-9,
+    which the scaling turns into a bracket wider than GAP_TOL, so the dual
+    is also moved by the least-norm change that makes Tr(A phi_k) =
+    sign(c_k) on the atoms, complementary slackness at the primal optimum;
+    of the two duals, the one with the higher lower end is kept.  Both are
+    certified, and a raw dual that overshoots by more than 1e-8 is an
+    error.  The primal residual E = sum c_k phi_k - rho (max-norm 1e-13 at
+    most, measured on 18 random states at (2,3), (3,2) and (2,4)) is
+    outside the bracket: the lower end is computed on rho itself, while
     the upper end, the cost of decomposing rho + E, is off by Tr(A E).
     """
     q, n, K = dic.q, dic.n, len(dic.vectors)
@@ -177,28 +188,25 @@ def lr_lp(rho: np.ndarray, dic: StabilizerDictionary,
     b = np.concatenate([t[re].real, t[im].imag])
     sol = simplex.solve_lp(dic.split_lp, b, np.ones(2 * K))
     coeffs = sol.x[:K] - sol.x[K:]
-    if float(np.max(np.abs(sol.dual @ H))) > 1.0 + 1e-8:
-        raise ArithmeticError("dual witness violates |Tr(A sigma)| <= 1")
     active = np.flatnonzero(coeffs)
-    H_A = H[:, active]
+    H_A = np.zeros((H.shape[0], len(active)))
+    for j, (first, end) in enumerate(zip(H.start[active], H.start[active + 1])):
+        H_A[H.index[first:end], j] = H.value[first:end]
     slack = coeffs[active] / np.abs(coeffs[active]) - sol.dual @ H_A
-    duals = (sol.dual, sol.dual + H_A @ _least_squares_symmetric(H_A.T @ H_A, slack))
-    lowers = [float(y @ b) / max(float(np.max(np.abs(y @ H))), 1.0) for y in duals]
+    duals = np.stack([sol.dual, sol.dual + H_A @ _least_squares_symmetric(H_A.T @ H_A, slack)])
+    # y.H by columns; reduceat would misread an empty column, but every
+    # group holds the identity, so every column has a 1 in row 0
+    peaks = np.abs(np.add.reduceat(duals[:, H.index] * H.value, H.start[:-1], axis=1)).max(axis=1)
+    if peaks[0] > 1.0 + 1e-8:
+        raise ArithmeticError("dual witness violates |Tr(A sigma)| <= 1")
+    lowers = [float(y @ b) / max(float(peak), 1.0) for y, peak in zip(duals, peaks)]
     best = int(np.argmax(lowers))   # the raw dual on a tie
-    # A is the Hermitian part of sum_P z_P P, z = omega_{2q}^{a.b} (y_re + i y_im)
-    y_re, y_im = np.split(duals[best], [len(re)])
-    z = np.zeros(len(rot), dtype=complex)
-    z[re] = y_re / rot[re]
-    z[im] += 1j * y_im / rot[im]
-    perm, index = _site_axes(q, n)
-    A = np.conj(_characters(np.conj(z).reshape([q] * (2 * n)), q, n))[index]
-    A = A.transpose(perm).reshape(q ** n, q ** n)
     opt = max(sol.value, 1.0)
     return LrResult(
         lr=_bracket(max(lowers[best], 1.0), opt, lambda x: log_value(x, config)),
         optimum=opt,
         coeffs=coeffs,
-        witness=(A + A.conj().T) / 2,
+        dual=duals[best],
     )
 
 

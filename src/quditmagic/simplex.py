@@ -1,20 +1,20 @@
 """Standard-form LP  min c.x  s.t.  A x = b, x >= 0  on HiGHS's dual simplex,
 called through scipy's bundled bindings (scipy.optimize._highspy._core).
 
-The solve gets the options that scipy's linprog(method="highs-ds") sets
-(presolve on, the dual simplex strategy, no output) and returns the same x,
-objective and row duals, bit for bit, without linprog's per-call input
-cleaning and option checks, which cost more than the solve on small LPs.
-linprog's guards are kept: a status other than optimal raises, and an
-"optimal" x must be finite, nonnegative and satisfy A x = b within
-linprog's tolerance 10 sqrt(1e-9).
+A comes by columns, as a Csc: the arrays scipy.sparse.csc_array holds,
+which HiGHS takes as they are.  The solve gets the options that scipy's
+linprog(method="highs-ds") sets (presolve on, the dual simplex strategy,
+no output) and returns the same x, objective and row duals, bit for bit,
+without linprog's per-call input cleaning and option checks, which cost
+more than the solve on small LPs.  linprog's guards are kept: a status
+other than optimal raises, and an "optimal" x must be finite, nonnegative
+and satisfy A x = b within linprog's tolerance 10 sqrt(1e-9).
 
 The bindings are one extension file.  `_highs` loads it straight from
 scipy's directory under its own module name, so a solve imports neither
 scipy.optimize nor scipy.sparse, whose import costs more time and memory
 than a small `magic` command's work, and a later `import scipy.optimize`
-reuses the loaded module.  `csc` puts a dense A in the column-compressed
-form HiGHS takes, the arrays scipy.sparse.csc_array holds.
+reuses the loaded module.
 
 The module name stays `simplex` because the benchmark's tracer
 (perfbench/tracer.py) imports `quditmagic.simplex` for its span targets.
@@ -57,16 +57,6 @@ class Csc(NamedTuple):
     value: np.ndarray
 
 
-def csc(A) -> Csc:
-    """Dense A by columns, exact zeros dropped: the indptr, indices and data
-    of scipy.sparse.csc_array(A), with HiGHS's 32-bit indices."""
-    A = np.asarray(A)
-    cols, rows = np.nonzero(A.T)
-    start = np.zeros(A.shape[1] + 1, dtype=np.int32)
-    np.cumsum(np.bincount(cols, minlength=A.shape[1]), out=start[1:])
-    return Csc(A.shape, start, rows.astype(np.int32), A.T[cols, rows])
-
-
 def _highs():
     """scipy's HiGHS bindings: the module already in sys.modules, loaded by
     scipy.optimize or by an earlier call, else the extension file run under
@@ -93,11 +83,9 @@ def _highs():
     return highspy
 
 
-def solve_lp(A, b: np.ndarray, c: np.ndarray) -> LpSolution:
-    """Solve with A dense or a Csc; a Csc is passed to HiGHS as is."""
+def solve_lp(A: Csc, b: np.ndarray, c: np.ndarray) -> LpSolution:
+    """Solve with A's arrays passed to HiGHS as they are."""
     highspy = _highs()
-    if not isinstance(A, Csc):
-        A = csc(A)
     m, n = A.shape
     lp = highspy.HighsLp()
     lp.num_col_ = lp.a_matrix_.num_col_ = n

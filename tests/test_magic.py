@@ -1,10 +1,12 @@
 import functools
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.optimize
+import scipy.sparse
 from hypothesis import example, given, settings, strategies as st
 
 from quditmagic import dense, magic, pauli, stabilizer
@@ -58,15 +60,42 @@ def test_lf_pure_known_values(dic12):
         assert abs(v) < 1e-10
 
 
+def row_labels(q, n):
+    """The labels of lr_lp's rows, in itertools.product order: Re rows for
+    P = P^dag and for the first of each pair P, P^dag, then Im rows for the
+    first of each pair."""
+    labels = list(itertools.product(range(q), repeat=2 * n))
+    position = {x: i for i, x in enumerate(labels)}
+    adjoint = [position[tuple(-v % q for v in x)] for x in labels]
+    return ([x for i, x in enumerate(labels) if i <= adjoint[i]],
+            [x for i, x in enumerate(labels) if i < adjoint[i]])
+
+
+def omega_ab(x, q, n):
+    """omega_{2q}^{a.b} for the label x = (a, b)."""
+    return np.exp(1j * np.pi * sum(x[j] * x[n + j] for j in range(n)) / q)
+
+
+def reference_witness(y, q, n):
+    """The dual witness of y in lr_lp's rows, from dense Paulis: the
+    Hermitian part of sum_P omega_{2q}^{a.b} (y_re + i y_im)_P P."""
+    re, im = row_labels(q, n)
+    terms = list(zip(re, y[:len(re)])) + list(zip(im, 1j * y[len(re):]))
+    A = sum(w * omega_ab(x, q, n) * pauli.to_dense(pauli.label(q, n, x[:n], x[n:]))
+            for x, w in terms)
+    return (A + A.conj().T) / 2
+
+
 def check_lr_certificate(rho, dic, res):
     # the signed decomposition reproduces rho at cost equal to the optimum
     acc = sum(c * np.outer(v, v.conj()) for c, v in zip(res.coeffs, dic.vectors))
     assert np.allclose(acc, rho, atol=1e-9)
     assert abs(np.sum(np.abs(res.coeffs)) - res.optimum) < 1e-9
     # the dual witness is feasible on every dictionary state and attains it
+    A = reference_witness(res.dual, dic.q, dic.n)
     for v in dic.vectors:
-        assert abs(np.real(np.vdot(v, res.witness @ v))) <= 1.0 + 1e-9
-    assert abs(np.real(np.trace(res.witness @ rho)) - res.optimum) < 1e-9
+        assert abs(np.real(np.vdot(v, A @ v))) <= 1.0 + 1e-9
+    assert abs(np.real(np.trace(A @ rho)) - res.optimum) < 1e-9
     assert res.lr.gap < 1e-9
 
 
@@ -145,20 +174,11 @@ def test_lr_reports_duality_gap(dic12, monkeypatch):
 
 
 def reference_rows(T, q, n):
-    """The LP rows of a Pauli transform, label by label in itertools.product
-    order: Re of omega_{2q}^{-a.b} T_P for P = P^dag and for the first of
-    each pair P, P^dag, then Im for the first of each pair."""
-    labels = list(itertools.product(range(q), repeat=2 * n))
-    position = {x: i for i, x in enumerate(labels)}
-    re, im = [], []
-    for i, x in enumerate(labels):
-        w = T.flat[i] * np.exp(-1j * np.pi * sum(x[j] * x[n + j] for j in range(n)) / q)
-        adjoint = position[tuple(-v % q for v in x)]
-        if i <= adjoint:
-            re.append(w.real)
-        if i < adjoint:
-            im.append(w.imag)
-    return np.array(re + im)
+    """The LP rows of a Pauli transform T on axes (a, b): Re of
+    omega_{2q}^{-a.b} T_P at row_labels' Re labels, then Im at its Im labels."""
+    re, im = row_labels(q, n)
+    return np.array([(T[x] / omega_ab(x, q, n)).real for x in re]
+                    + [(T[x] / omega_ab(x, q, n)).imag for x in im])
 
 
 @pytest.mark.parametrize("n,q", [(1, 2), (1, 3), (1, 4), (1, 6), (2, 2), (2, 3)])
@@ -170,14 +190,33 @@ def test_lr_columns_match_dense_pauli_transforms(n, q):
     d = q ** n
     H = dic.pauli_lp[0]
     assert H.shape == (d * d, len(dic.vectors))
+    assert np.all(H.value != 0)   # no exact zero is stored
+    H = scipy.sparse.csc_array((H.value, H.index, H.start), shape=H.shape)
     for k, v in enumerate(dic.vectors):
+        column = H[:, [k]].toarray().ravel()
         T = magic._pauli_transform(np.outer(v, v.conj()), q, n)
         assert np.count_nonzero(np.abs(T) > 1e-12) == d
         assert np.abs(np.abs(T.flat[dic.labels[k]]) - 1.0).max() < 1e-12
         ref = reference_rows(T, q, n)
-        assert np.abs(H[:, k] - ref).max() < 1e-12
-        assert np.array_equal(np.flatnonzero(H[:, k]), np.flatnonzero(np.abs(ref) > 1e-12))
-        assert np.count_nonzero(H[:, k]) <= d
+        assert np.abs(column - ref).max() < 1e-12
+        assert np.array_equal(np.flatnonzero(column), np.flatnonzero(np.abs(ref) > 1e-12))
+        assert np.count_nonzero(column) <= d
+
+
+def test_split_lp_holds_no_dense_matrix():
+    # H is built by columns from the element table: building [H, -H] at
+    # (2,4) peaks below one float64 d^2 x K array (4.95 MB), where the
+    # dense construction peaked at 25 MB
+    n, q = 2, 4
+    dic = magic.build_dictionary(n, q, RunConfig())
+    tracemalloc.start()
+    try:
+        dic.split_lp
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    d, K = q ** n, len(dic.vectors)
+    assert peak < 8 * d * d * K
 
 
 def test_lr_zero_on_hull(dic12):

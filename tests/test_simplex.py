@@ -6,9 +6,11 @@ linprog's guards on HiGHS's answer.  The adapter calls HiGHS through
 scipy's bindings, so `reference_solve` (linprog's "highs", which picks its
 own solver) is a second path to the optimum, and
 `test_bit_identical_to_linprog_on_lr_lps` pins the adapter's options to
-linprog's "highs-ds" on the LPs that `magic.lr_lp` poses.  `simplex.csc`
-and `dic.split_lp` are pinned to scipy.sparse's arrays, and the load-order
-tests pin that the adapter and scipy.optimize share one bindings module.
+linprog's "highs-ds" on the LPs that `magic.lr_lp` poses.  The adapter
+takes A by columns only, so the tests hand it scipy.sparse's arrays
+(`as_csc`); `dic.split_lp` is pinned to the CSC arrays of a dense
+construction of H, and the load-order tests pin that the adapter and
+scipy.optimize share one bindings module.
 """
 
 import os
@@ -23,6 +25,12 @@ from scipy.optimize._highspy import _core as highspy
 
 from quditmagic import dense, magic, simplex
 from quditmagic.config import RunConfig
+
+
+def as_csc(A):
+    """Dense A by columns: scipy.sparse.csc_array's arrays as a simplex.Csc."""
+    M = scipy.sparse.csc_array(A)
+    return simplex.Csc(M.shape, M.indptr, M.indices, M.data)
 
 
 def random_feasible_lp(rng, m, n):
@@ -51,9 +59,9 @@ def test_matches_reference_solver(seed):
         # reference declares unbounded or numerically troubled; check ours
         if ref.status == 3:
             with pytest.raises(simplex.Unbounded):
-                simplex.solve_lp(A, b, c)
+                simplex.solve_lp(as_csc(A), b, c)
         return
-    sol = simplex.solve_lp(A, b, c)
+    sol = simplex.solve_lp(as_csc(A), b, c)
     assert abs(sol.value - ref.fun) < 1e-7
     # primal feasibility
     assert np.all(sol.x >= -1e-9)
@@ -79,7 +87,7 @@ def test_unbounded_detected():
     b = np.array([0.0])
     c = np.array([-1.0, 0.0])
     with pytest.raises(simplex.Unbounded):
-        simplex.solve_lp(A, b, c)
+        simplex.solve_lp(as_csc(A), b, c)
 
 
 def test_infeasible_detected():
@@ -87,7 +95,7 @@ def test_infeasible_detected():
     b = np.array([1.0, 2.0])
     c = np.array([0.0, 0.0])
     with pytest.raises(simplex.Infeasible):
-        simplex.solve_lp(A, b, c)
+        simplex.solve_lp(as_csc(A), b, c)
 
 
 def test_negative_rhs_handled():
@@ -95,7 +103,7 @@ def test_negative_rhs_handled():
     A = np.array([[-1.0]])
     b = np.array([-2.0])
     c = np.array([3.0])
-    sol = simplex.solve_lp(A, b, c)
+    sol = simplex.solve_lp(as_csc(A), b, c)
     assert abs(sol.x[0] - 2.0) < 1e-10
     assert abs(sol.value - 6.0) < 1e-10
     assert abs(sol.dual @ b - sol.value) < 1e-9
@@ -105,7 +113,7 @@ def test_redundant_rows():
     A = np.array([[1.0, 1.0], [2.0, 2.0]])
     b = np.array([1.0, 2.0])
     c = np.array([1.0, 2.0])
-    sol = simplex.solve_lp(A, b, c)
+    sol = simplex.solve_lp(as_csc(A), b, c)
     assert abs(sol.value - 1.0) < 1e-9
     assert np.allclose(A @ sol.x, b, atol=1e-9)
     # presolve drops the redundant row
@@ -117,7 +125,7 @@ def test_degenerate_vertex_terminates():
     A = np.array([[1.0, 1.0, 1.0, 0.0], [1.0, 0.0, 0.0, 1.0]])
     b = np.array([1.0, 1.0])
     c = np.array([-1.0, 0.0, 0.0, 0.0])
-    sol = simplex.solve_lp(A, b, c)
+    sol = simplex.solve_lp(as_csc(A), b, c)
     assert abs(sol.value + 1.0) < 1e-9
     assert abs(sol.x[0] - 1.0) < 1e-9
     assert_same_as_highs_ds(sol, A, b, c)
@@ -137,7 +145,7 @@ def test_other_status_raises(status, monkeypatch):
     monkeypatch.setattr(highspy, "_Highs", Stopped)
     message = highspy._Highs().modelStatusToString(STOPPED[status])
     with pytest.raises(ArithmeticError, match=message):
-        simplex.solve_lp(np.eye(1), np.ones(1), np.ones(1))
+        simplex.solve_lp(as_csc(np.eye(1)), np.ones(1), np.ones(1))
 
 
 @pytest.mark.parametrize("field,shift", [("row_value", 1e-3), ("col_value", -1e-3)])
@@ -153,10 +161,10 @@ def test_optimal_outside_tolerance_raises(field, shift, monkeypatch):
     A = np.array([[1.0, 1.0]])
     b = np.array([0.0])
     c = np.array([1.0, 1.0])
-    assert simplex.solve_lp(A, b, c).value == 0.0
+    assert simplex.solve_lp(as_csc(A), b, c).value == 0.0
     monkeypatch.setattr(highspy, "_Highs", Off)
     with pytest.raises(ArithmeticError, match="HiGHS reported optimal"):
-        simplex.solve_lp(A, b, c)
+        simplex.solve_lp(as_csc(A), b, c)
 
 
 def random_state(q, n, seed):
@@ -202,14 +210,36 @@ def with_exact_zeros(seed):
     np.zeros((2, 3)),
 ], ids=["random-%d" % seed for seed in range(10)] + ["zero-column", "zero-row", "zero"])
 def test_csc_matches_scipy(A):
-    # exact zeros are dropped and rows run ascending, as in csc_array
-    assert_same_csc(simplex.csc(A), scipy.sparse.csc_array(A))
+    # solve_lp on A by columns matches scipy's linprog on the dense A: a
+    # column or row with no stored entry, or no entry at all, reaches HiGHS
+    # as empty ranges of start and index
+    rng = np.random.default_rng(A.size)
+    b = A @ rng.uniform(0.2, 1.0, size=A.shape[1])
+    c = rng.uniform(0.1, 1.0, size=A.shape[1])   # positive costs keep it bounded
+    assert_same_as_highs_ds(simplex.solve_lp(as_csc(A), b, c), A, b, c)
 
 
-@pytest.mark.parametrize("n,q", [(1, 2), (2, 3)])
+def dense_pauli_h(dic):
+    """pauli_lp's H built densely, as a reference: a complex d^2 x K array T
+    holding omega_{2q}^{c - a.b} at each element's label, then Re of T's
+    rows re over Im of its rows im."""
+    q, n = dic.q, dic.n
+    grid = np.indices([q] * (2 * n)).reshape(2 * n, -1)
+    flat, adjoint = np.arange(q ** (2 * n)), q ** np.arange(2 * n - 1, -1, -1) @ (-grid % q)
+    re, im = np.flatnonzero(flat <= adjoint), np.flatnonzero(flat < adjoint)
+    ab = np.sum(grid[:n] * grid[n:], axis=0)
+    e = (dic.phases - ab[dic.labels]) % (2 * q)
+    T = np.zeros((len(ab), len(e)), dtype=complex)
+    T[dic.labels, np.arange(len(e))[:, None]] = np.exp(1j * np.pi * e / q).round(15)
+    return np.concatenate([T[re].real, T[im].imag])
+
+
+@pytest.mark.parametrize("n,q", [(1, 2), (1, 4), (1, 6), (2, 3), (3, 2)])
 def test_split_lp_is_hstack_of_h_and_minus_h(n, q):
+    # H by columns is byte for byte the CSC of the dense construction
     dic = magic.build_dictionary(n, q, RunConfig())
-    H = scipy.sparse.csc_array(dic.pauli_lp[0])
+    H = scipy.sparse.csc_array(dense_pauli_h(dic))
+    assert_same_csc(dic.pauli_lp[0], H)
     assert_same_csc(dic.split_lp, scipy.sparse.hstack([H, -H], format="csc"))
 
 
@@ -220,7 +250,9 @@ import sys
 import numpy as np
 from quditmagic import simplex
 
-A, b, c = np.array([[1.0, 1.0]]), np.array([1.0]), np.array([1.0, 2.0])
+A = simplex.Csc((1, 2), np.array([0, 1, 2], dtype=np.int32), np.zeros(2, dtype=np.int32),
+                np.ones(2))
+b, c = np.array([1.0]), np.array([1.0, 2.0])
 if sys.argv[1] == "lp-first":
     assert simplex.solve_lp(A, b, c).value == 1.0
     core = sys.modules[simplex.HIGHS_MODULE]
@@ -228,7 +260,7 @@ if sys.argv[1] == "lp-first":
     import scipy.optimize
     from scipy.optimize._highspy import _core
     assert _core is core and simplex._highs() is core
-    res = scipy.optimize.linprog(c, A_eq=A, b_eq=b, bounds=(0, None), method="highs-ds")
+    res = scipy.optimize.linprog(c, A_eq=[[1.0, 1.0]], b_eq=b, bounds=(0, None), method="highs-ds")
     assert res.status == 0 and res.fun == 1.0
 else:
     import scipy.optimize
