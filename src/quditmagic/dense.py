@@ -126,9 +126,16 @@ def _apply_two_site(psi: np.ndarray, q: int, n: int, left: int, gate: np.ndarray
     return tens.reshape(-1)
 
 
+def json_int(x) -> int:
+    """x if it is a JSON integer; a float, string or boolean is a ValueError."""
+    if type(x) is not int:
+        raise ValueError("expected an integer, got %r" % (x,))
+    return x
+
+
 def state_from_json(text: str):
     obj = json.loads(text)
-    q = int(obj["q"])
-    n = int(obj["n"])
+    q = json_int(obj["q"])
+    n = json_int(obj["n"])
     amps = [complex(re, im) for re, im in obj["amplitudes"]]
     return q, n, state_from_amplitudes(q, n, amps)

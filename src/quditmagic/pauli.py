@@ -19,8 +19,6 @@ from typing import List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
-from .config import DEFAULT_CONFIG, RunConfig, check_dense
-
 
 class ShapeMismatch(ValueError):
     pass
@@ -45,10 +43,6 @@ def label(q: int, n: int, a: Sequence[int], b: Sequence[int], c: int = 0) -> Pau
         b=tuple(x % q for x in b),
         c=c % (2 * q),
     )
-
-
-def identity_label(q: int, n: int) -> PauliLabel:
-    return label(q, n, [0] * n, [0] * n, 0)
 
 
 def _check_shapes(P: PauliLabel, Q: PauliLabel) -> None:
@@ -110,26 +104,6 @@ def order(P: PauliLabel) -> int:
 
 def symplectic_vector(P: PauliLabel) -> List[int]:
     return list(P.a) + list(P.b)
-
-
-def _site_matrix(q: int, a: int, b: int) -> np.ndarray:
-    """Dense q x q matrix of Z^a X^b."""
-    omega = np.exp(2j * np.pi / q)
-    M = np.zeros((q, q), dtype=complex)
-    for j in range(q):
-        M[(j + b) % q, j] = omega ** (a * ((j + b) % q))
-    return M
-
-
-def to_dense(P: PauliLabel, config: RunConfig = DEFAULT_CONFIG) -> np.ndarray:
-    """Dense matrix on the little-endian product basis (site 0 fastest)."""
-    dim = P.q ** P.n
-    check_dense(dim, config)
-    out = np.array([[1.0 + 0j]])
-    for i in range(P.n - 1, -1, -1):
-        out = np.kron(out, _site_matrix(P.q, P.a[i], P.b[i]))
-    phase = np.exp(1j * np.pi * P.c / P.q)
-    return phase * out
 
 
 def apply_to_state(P: PauliLabel, psi: np.ndarray) -> np.ndarray:

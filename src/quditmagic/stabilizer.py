@@ -27,9 +27,9 @@ fixed-size LRU memos keyed on (q, exponent rows[, region]) with tuple
 values, so the many groups that share a lattice and differ only in phases
 (all phase assignments of one lattice, the re-phasings extreme_points
 tries, the repeated braiding queries on one toric ground group) factorize it
-once; the commutation and phase checks still run on every call.
-independent_generators memos its decomposition the same way; the elements
-of every group come from one table per lattice, with phases base + M.c.
+once; the commutation and phase checks still run on every call.  The
+elements of every group come from one table per lattice, with phases
+base + M.c.
 
 supported_subgroup goes one step further and memos a phase map: its
 generators are products h_j = prod_i g_i^{x_ji} with phases
@@ -190,18 +190,6 @@ def _decomposition(q: int, rows: Tuple[Tuple[int, ...], ...]) -> Tuple:
     conjugates of one group share it."""
     C, orders = linalg.independent_decomposition(rows, q)
     return tuple(map(tuple, C)), tuple(orders)
-
-
-def independent_generators(S: StabilizerGroup) -> List[Tuple[PauliLabel, int]]:
-    """Independent generators with their orders (divisor chain, trivial ones
-    dropped); product of the orders equals |S|."""
-    C, orders = _decomposition(S.q, _rows_key(S.gens))
-    out = []
-    for row, d in zip(C, orders):
-        if d == 1:
-            continue
-        out.append((product_label(S.gens, row), d))
-    return out
 
 
 @functools.lru_cache(maxsize=1)

@@ -83,10 +83,6 @@ class ToricCode:
     lattice: ToricLattice
     group: StabilizerGroup
 
-    def __iter__(self):
-        yield self.lattice
-        yield self.group
-
 
 def build_toric(q: int, Lx: int, Ly: int) -> ToricCode:
     """The code stabilizer group of all vertex and plaquette operators.
@@ -198,48 +194,15 @@ def _walk(lat: ToricLattice, kind: str, start: Tuple[int, int],
     return StringPath(kind=kind, steps=tuple(steps))
 
 
-def _path(lat: ToricLattice, kind: str, points: Sequence[Tuple[int, int]],
-          what: str) -> StringPath:
-    """The walk through consecutive adjacent points; on a length-2 torus the
-    ambiguous wrap step is read in the positive direction."""
-    moves = []
-    for (x1, y1), (x2, y2) in zip(points, points[1:]):
-        dx = (x2 - x1) % lat.Lx
-        dy = (y2 - y1) % lat.Ly
-        if dy == 0 and dx == 1:
-            moves.append("+x")
-        elif dy == 0 and dx == lat.Lx - 1:
-            moves.append("-x")
-        elif dx == 0 and dy == 1:
-            moves.append("+y")
-        elif dx == 0 and dy == lat.Ly - 1:
-            moves.append("-y")
-        else:
-            raise InvalidPath("%s %r -> %r are not adjacent" % (what, (x1, y1), (x2, y2)))
-    return _walk(lat, kind, points[0] if moves else (0, 0), moves)
-
-
-def primal_path(lat: ToricLattice, vertices: Sequence[Tuple[int, int]]) -> StringPath:
-    """Path along lattice edges through consecutive adjacent vertices."""
-    return _path(lat, PRIMAL, vertices, "vertices")
-
-
-def dual_path(lat: ToricLattice, plaquettes: Sequence[Tuple[int, int]]) -> StringPath:
-    """Path through consecutive adjacent plaquette centers, each step crossing
-    one primal edge."""
-    return _path(lat, DUAL, plaquettes, "plaquettes")
-
-
 def primal_walk(lat: ToricLattice, start: Tuple[int, int],
                 moves: Sequence[str]) -> StringPath:
-    """Primal path given by a start vertex and explicit moves, which stays
-    unambiguous on length-2 tori where opposite steps coincide."""
+    """Primal path from a start vertex along moves "+x", "-x", "+y", "-y"."""
     return _walk(lat, PRIMAL, start, moves)
 
 
 def dual_walk(lat: ToricLattice, start: Tuple[int, int],
               moves: Sequence[str]) -> StringPath:
-    """Dual path given by a start plaquette and explicit moves."""
+    """Dual path from a start plaquette, each move crossing one primal edge."""
     return _walk(lat, DUAL, start, moves)
 
 
@@ -401,12 +364,6 @@ def _braid_operator(s1: _TypeStrings, s2: _TypeStrings) -> PauliLabel:
     return pauli.compose(s2.w_u_inv, pauli.compose(s1.v_u_inv, pauli.compose(s1.v_d, s2.w_d)))
 
 
-def _string_quartet(lat: ToricLattice, t1: AnyonType, t2: AnyonType,
-                    paths: SmatrixPaths):
-    s1, s2 = _type_strings(lat, t1, paths), _type_strings(lat, t2, paths)
-    return _braid_operator(s1, s2), s1.l_v, s2.l_w
-
-
 class _Braiding:
     """Braiding phases on one ground group.  Each type, reduced mod q, gets
     its strings and the exponents of its closed loops l_v = V_u^-1 V_d and
@@ -433,6 +390,8 @@ class _Braiding:
         return entry
 
     def phase(self, t1: AnyonType, t2: AnyonType) -> complex:
+        """The four-string product's expectation, normalized by the two
+        closed-loop expectations so a trivial t2 gives exactly 1."""
         s1, e_v, _ = self._type(t1)
         s2, _, e_w = self._type(t2)
         q = self.lat.q
@@ -440,38 +399,21 @@ class _Braiding:
         return cmath.exp(1j * cmath.pi * e / q)
 
 
-def s_matrix_element(code: ToricCode, t1: AnyonType, t2: AnyonType,
-                     paths: Optional[SmatrixPaths] = None,
-                     group: Optional[StabilizerGroup] = None) -> complex:
-    """Braiding phase of anyon types t1 and t2.
-
-    Evaluates the four-string product on the ground state exactly through the
-    stabilizer group and normalizes by the two closed-loop expectations, so a
-    trivial t2 gives exactly 1.  The result has unit modulus by construction.
-    """
-    lat = code.lattice
-    if paths is None:
-        paths = smatrix_paths(lat)
-    if group is None:
-        group = ground_group(code)
-    return _Braiding(lat, paths, group).phase(t1, t2)
-
-
 def s_matrix_dense(code: ToricCode, t1: AnyonType, t2: AnyonType,
                    paths: Optional[SmatrixPaths] = None,
                    config: RunConfig = DEFAULT_CONFIG) -> complex:
-    """Independent oracle: the same normalized expectation evaluated on the
-    dense ground-state vector."""
+    """Independent oracle for _Braiding.phase: the same normalized
+    expectation evaluated on the dense ground-state vector."""
     lat = code.lattice
     if paths is None:
         paths = smatrix_paths(lat)
-    O, l_v, l_w = _string_quartet(lat, t1, t2, paths)
+    s1, s2 = _type_strings(lat, t1, paths), _type_strings(lat, t2, paths)
     psi = ground_state(code, config=config)
 
     def expect(op: PauliLabel) -> complex:
         return complex(np.vdot(psi, pauli.apply_to_state(op, psi)))
 
-    return expect(O) / (expect(l_v) * expect(l_w))
+    return expect(_braid_operator(s1, s2)) / (expect(s1.l_v) * expect(s2.l_w))
 
 
 @dataclass(frozen=True)
@@ -574,8 +516,8 @@ def ring_annulus(lat: ToricLattice) -> RingAnnulus:
     })
     thickened = sorted(set(edges) | {lat.v_edge(1, 0)})
     balls = tuple((e,) for e in edges)
-    e_path = primal_path(lat, [(1, 0), (1, 1), (1, 2)])
-    m_path = dual_path(lat, [(0, 0), (0, lat.Ly - 1)])
+    e_path = primal_walk(lat, (1, 0), ["+y", "+y"])
+    m_path = dual_walk(lat, (0, 0), ["-y"])
     strings = []
     for a in range(lat.q):
         for b in range(lat.q):

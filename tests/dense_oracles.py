@@ -1,12 +1,14 @@
-"""Dense oracles that only the tests call: the relative entropies that
-cross-check the Frank-Wolfe solvers' values, and the writer of the state
-files the CLI reads."""
+"""Reference code that only the tests call: dense Pauli matrices, the
+relative entropies that cross-check the Frank-Wolfe solvers' values, a
+group's independent generators, and the writer of the state files the CLI
+reads."""
 
 import json
 
 import numpy as np
 
-from quditmagic.config import DEFAULT_CONFIG, RunConfig, log_value
+from quditmagic import pauli, stabilizer
+from quditmagic.config import DEFAULT_CONFIG, RunConfig, check_dense, log_value
 
 SUPPORT_CUTOFF = 1e-10
 
@@ -55,3 +57,34 @@ def state_to_json(q: int, n: int, psi: np.ndarray) -> str:
             "amplitudes": [[float(z.real), float(z.imag)] for z in psi],
         }
     )
+
+
+def identity_label(q: int, n: int) -> pauli.PauliLabel:
+    return pauli.label(q, n, [0] * n, [0] * n, 0)
+
+
+def _site_matrix(q: int, a: int, b: int) -> np.ndarray:
+    """Dense q x q matrix of Z^a X^b."""
+    omega = np.exp(2j * np.pi / q)
+    M = np.zeros((q, q), dtype=complex)
+    for j in range(q):
+        M[(j + b) % q, j] = omega ** (a * ((j + b) % q))
+    return M
+
+
+def to_dense(P: pauli.PauliLabel, config: RunConfig = DEFAULT_CONFIG) -> np.ndarray:
+    """Dense matrix on the little-endian product basis (site 0 fastest)."""
+    dim = P.q ** P.n
+    check_dense(dim, config)
+    out = np.array([[1.0 + 0j]])
+    for i in range(P.n - 1, -1, -1):
+        out = np.kron(out, _site_matrix(P.q, P.a[i], P.b[i]))
+    phase = np.exp(1j * np.pi * P.c / P.q)
+    return phase * out
+
+
+def independent_generators(S: stabilizer.StabilizerGroup):
+    """Independent generators of S with their orders (divisor chain, trivial
+    ones dropped); the product of the orders equals |S|."""
+    C, orders = stabilizer._decomposition(S.q, stabilizer._rows_key(S.gens))
+    return [(stabilizer.product_label(S.gens, row), d) for row, d in zip(C, orders) if d > 1]

@@ -24,6 +24,8 @@ from quditmagic import (
 )
 from quditmagic.config import RunConfig
 
+import dense_oracles
+
 
 def report(k, ok, detail):
     print("CRITERION %d: %s (%s)" % (k, "PASS" if ok else "FAIL", detail))
@@ -109,10 +111,10 @@ def test_criterion_02_rephasing_lemma():
         n = 1 + (i // len(qs)) % 2
         gens = _random_independent_tableau(rng, q, n)
         orders = [pauli.order(g) for g in gens]
-        mats = [pauli.to_dense(g) for g in gens]
+        mats = [dense_oracles.to_dense(g) for g in gens]
         for targets in itertools.product(*(range(d) for d in orders)):
             P = stabilizer.find_rephasing_pauli(gens, targets)
-            M = pauli.to_dense(P)
+            M = dense_oracles.to_dense(P)
             Minv = M.conj().T
             for g, mat, d, u in zip(gens, mats, orders, targets):
                 zeta = np.exp(2j * np.pi * u / d)

@@ -218,8 +218,8 @@ def test_rephase(capsys, tmp_path):
     )
     P = pauli.label(2, 1, body["pauli"]["a"], body["pauli"]["b"], body["pauli"]["c"])
     # the returned Pauli flips the sign of Z
-    M = pauli.to_dense(P)
-    Z = pauli.to_dense(pauli.label(2, 1, [1], [0], 0))
+    M = dense_oracles.to_dense(P)
+    Z = dense_oracles.to_dense(pauli.label(2, 1, [1], [0], 0))
     assert np.allclose(M @ Z @ M.conj().T, -Z, atol=1e-10)
     assert body["pauli_text"] == pauli.to_text(P) == "2 1 | 0 | 1 | 0"
 
@@ -309,6 +309,20 @@ def test_magic_bad_header_is_data_error(capsys, tmp_path):
     code, out, err = run_cli(capsys, ["magic", "--state", str(path)])
     assert code == cli.EXIT_DATA
     assert "data error" in err
+
+
+@pytest.mark.parametrize("field,value", [
+    ("q", 2.9), ("q", "2"), ("q", 2.0), ("n", True), ("n", 1.0),
+])
+def test_magic_non_integer_header_is_data_error(capsys, tmp_path, field, value):
+    # q and n must be JSON integers, not numbers that truncate to one
+    state = {"q": 2, "n": 1, "amplitudes": [[1.0, 0.0], [0.0, 0.0]]}
+    state[field] = value
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps(state))
+    code, out, err = run_cli(capsys, ["magic", "--state", str(path)])
+    assert code == cli.EXIT_DATA, out
+    assert "data error" in err and out == ""
 
 
 @pytest.mark.parametrize("measures", [[], ["--measures", "lf,srel,smax"]])
@@ -409,6 +423,29 @@ def test_witness_assemble_rejects_small_patch_dimension(capsys, tmp_path, D):
         ["witness", "assemble", "--profile", str(prof), "--certs", str(certs)],
     )
     assert code == cli.EXIT_DATA, err
+
+
+@pytest.mark.parametrize("field,value", [
+    ("m", 1.9), ("n", 100.7), ("m", "10"), ("m", True), ("D", 2.9), ("D", "2"), ("D", 2.0),
+])
+def test_witness_assemble_rejects_non_integers(capsys, tmp_path, field, value):
+    # m, n and each D must be JSON integers, not numbers that truncate to one
+    profile = {"K": 1.0, "xi": 1.0, "m": 10, "r0": 2.0, "c1": 3.0, "n": 1024}
+    cert = [0.5, 2]
+    if field == "D":
+        cert[1] = value
+    else:
+        profile[field] = value
+    prof = tmp_path / "profile.json"
+    prof.write_text(json.dumps(profile))
+    certs = tmp_path / "certs.json"
+    certs.write_text(json.dumps([cert] * 10))
+    code, out, err = run_cli(
+        capsys,
+        ["witness", "assemble", "--profile", str(prof), "--certs", str(certs)],
+    )
+    assert code == cli.EXIT_DATA, out
+    assert out == "" and "data error" in err
 
 
 def test_witness_assemble_bad_json(capsys, tmp_path):

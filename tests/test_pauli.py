@@ -5,6 +5,8 @@ from hypothesis import given, settings, strategies as st
 
 from quditmagic import pauli
 
+import dense_oracles
+
 
 def random_label(draw_q, draw_n):
     return draw_q.flatmap(
@@ -47,18 +49,18 @@ def paired_strategy():
 @given(paired_strategy())
 def test_compose_matches_dense_product(pair):
     P, Q = mk(pair[0]), mk(pair[1])
-    dense = pauli.to_dense(P) @ pauli.to_dense(Q)
-    assert np.allclose(pauli.to_dense(pauli.compose(P, Q)), dense, atol=1e-10)
+    dense = dense_oracles.to_dense(P) @ dense_oracles.to_dense(Q)
+    assert np.allclose(dense_oracles.to_dense(pauli.compose(P, Q)), dense, atol=1e-10)
 
 
 @settings(max_examples=60, deadline=None)
 @given(label_strategy)
 def test_inverse_matches_dense(t):
     P = mk(t)
-    M = pauli.to_dense(P)
-    assert np.allclose(pauli.to_dense(pauli.inverse(P)), M.conj().T, atol=1e-10)
+    M = dense_oracles.to_dense(P)
+    assert np.allclose(dense_oracles.to_dense(pauli.inverse(P)), M.conj().T, atol=1e-10)
     assert np.allclose(
-        pauli.to_dense(pauli.compose(P, pauli.inverse(P))),
+        dense_oracles.to_dense(pauli.compose(P, pauli.inverse(P))),
         np.eye(P.q ** P.n),
         atol=1e-10,
     )
@@ -68,18 +70,18 @@ def test_inverse_matches_dense(t):
 @given(label_strategy, st.integers(-3, 7))
 def test_power_matches_repeated_product(t, m):
     P = mk(t)
-    M = pauli.to_dense(P)
+    M = dense_oracles.to_dense(P)
     target = np.linalg.matrix_power(M, m) if m >= 0 else np.linalg.matrix_power(
         M.conj().T, -m
     )
-    assert np.allclose(pauli.to_dense(pauli.power(P, m)), target, atol=1e-9)
+    assert np.allclose(dense_oracles.to_dense(pauli.power(P, m)), target, atol=1e-9)
 
 
 @settings(max_examples=60, deadline=None)
 @given(paired_strategy())
 def test_commutation_exponent_dense(pair):
     P, Q = mk(pair[0]), mk(pair[1])
-    MP, MQ = pauli.to_dense(P), pauli.to_dense(Q)
+    MP, MQ = dense_oracles.to_dense(P), dense_oracles.to_dense(Q)
     r = pauli.commutation_exponent(P, Q)
     omega = np.exp(2j * np.pi / P.q)
     assert np.allclose(MP @ MQ, omega ** r * MQ @ MP, atol=1e-10)
@@ -90,7 +92,7 @@ def test_commutation_exponent_dense(pair):
 def test_order_is_minimal(t):
     P = mk(t)
     d = pauli.order(P)
-    I = pauli.identity_label(P.q, P.n)
+    I = dense_oracles.identity_label(P.q, P.n)
     Pd = pauli.power(P, d)
     assert (Pd.a, Pd.b) == (I.a, I.b)
     for k in range(1, d):
@@ -106,7 +108,7 @@ def test_apply_to_state_matches_matrix(t):
     dim = P.q ** P.n
     psi = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     assert np.allclose(
-        pauli.apply_to_state(P, psi), pauli.to_dense(P) @ psi, atol=1e-10
+        pauli.apply_to_state(P, psi), dense_oracles.to_dense(P) @ psi, atol=1e-10
     )
 
 
@@ -114,14 +116,14 @@ def test_label_shape_check():
     with pytest.raises(pauli.ShapeMismatch):
         pauli.label(2, 2, [0], [0, 1])
     with pytest.raises(pauli.ShapeMismatch):
-        pauli.compose(pauli.identity_label(2, 1), pauli.identity_label(3, 1))
+        pauli.compose(dense_oracles.identity_label(2, 1), dense_oracles.identity_label(3, 1))
 
 
 def test_phase_shift_and_character():
     P = pauli.label(3, 1, [1], [0], 0)
     Q = pauli.phase_shifted(P, 2)
     assert np.allclose(
-        pauli.to_dense(Q), np.exp(1j * np.pi * 2 / 3) * pauli.to_dense(P)
+        dense_oracles.to_dense(Q), np.exp(1j * np.pi * 2 / 3) * dense_oracles.to_dense(P)
     )
     X = pauli.label(3, 1, [0], [1], 0)
     assert pauli.commutation_exponent(P, X) == 1
@@ -131,9 +133,9 @@ def test_phase_shift_and_character():
 
 
 def test_known_single_qubit_matrices():
-    Z = pauli.to_dense(pauli.label(2, 1, [1], [0], 0))
-    X = pauli.to_dense(pauli.label(2, 1, [0], [1], 0))
-    Y = pauli.to_dense(pauli.label(2, 1, [1], [1], 3))
+    Z = dense_oracles.to_dense(pauli.label(2, 1, [1], [0], 0))
+    X = dense_oracles.to_dense(pauli.label(2, 1, [0], [1], 0))
+    Y = dense_oracles.to_dense(pauli.label(2, 1, [1], [1], 3))
     assert np.allclose(Z, np.diag([1, -1]))
     assert np.allclose(X, np.array([[0, 1], [1, 0]]))
     assert np.allclose(Y, np.array([[0, -1j], [1j, 0]]))
@@ -144,7 +146,7 @@ def test_little_endian_site_order():
     P = pauli.label(3, 2, [1, 0], [0, 0], 0)
     omega = np.exp(2j * np.pi / 3)
     expected = np.diag([omega ** (j % 3) for j in range(9)])
-    assert np.allclose(pauli.to_dense(P), expected)
+    assert np.allclose(dense_oracles.to_dense(P), expected)
 
 
 def test_symplectic_vector_and_sort_key():

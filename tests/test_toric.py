@@ -7,6 +7,15 @@ import pytest
 from quditmagic import dense, pauli, stabilizer, toric
 from quditmagic.config import BudgetExceeded, RunConfig
 
+import dense_oracles
+
+
+def braiding_phase(code, t1, t2, paths=None, group=None):
+    """The one-pair braiding phase, on a type table of its own."""
+    paths = toric.smatrix_paths(code.lattice) if paths is None else paths
+    group = toric.ground_group(code) if group is None else group
+    return toric._Braiding(code.lattice, paths, group).phase(t1, t2)
+
 
 def test_build_rejects_small():
     with pytest.raises(toric.GeometryTooSmall):
@@ -17,20 +26,21 @@ def test_build_rejects_small():
 
 @pytest.mark.parametrize("q,Lx,Ly", [(2, 2, 2), (3, 2, 2), (2, 3, 2), (6, 2, 3)])
 def test_code_group_order(q, Lx, Ly):
-    lat, group = toric.build_toric(q, Lx, Ly)
-    assert lat.n_edges == 2 * Lx * Ly
-    assert group.order == q ** (2 * Lx * Ly - 2)
+    code = toric.build_toric(q, Lx, Ly)
+    assert code.lattice.n_edges == 2 * Lx * Ly
+    assert code.group.order == q ** (2 * Lx * Ly - 2)
 
 
 def test_all_generators_commute_dense():
-    lat, group = toric.build_toric(2, 2, 2)
-    mats = [pauli.to_dense(g) for g in group.gens]
+    group = toric.build_toric(2, 2, 2).group
+    mats = [dense_oracles.to_dense(g) for g in group.gens]
     for A, B in itertools.combinations(mats, 2):
         assert np.allclose(A @ B, B @ A, atol=1e-10)
 
 
 def test_logical_z_pair_commutes_with_code():
-    lat, group = toric.build_toric(3, 2, 3)
+    code = toric.build_toric(3, 2, 3)
+    lat, group = code.lattice, code.group
     z1, z2 = toric.logical_z_pair(lat)
     for g in group.gens:
         assert pauli.commutation_exponent(z1, g) == 0
@@ -76,8 +86,8 @@ def test_ground_state_matches_projector_oracle():
     dim = 2 ** 8
     v = np.zeros(dim, dtype=complex)
     v[0] = 1.0
-    for g, d in stabilizer.independent_generators(S):
-        M = pauli.to_dense(g)
+    for g, d in dense_oracles.independent_generators(S):
+        M = dense_oracles.to_dense(g)
         proj = sum(np.linalg.matrix_power(M, k) for k in range(d)) / d
         v = proj @ v
     v /= np.linalg.norm(v)
@@ -97,37 +107,35 @@ def test_ground_state_dense_budget_is_the_callers():
 
 
 def test_anyon_string_trivial_type_identity():
-    lat, _ = toric.build_toric(3, 3, 4)
-    path = toric.primal_path(lat, [(0, 0), (1, 0), (2, 0)])
+    lat = toric.build_toric(3, 3, 4).lattice
+    path = toric.primal_walk(lat, (0, 0), ["+x", "+x"])
     s = toric.anyon_string(lat, toric.AnyonType(0, 0), path)
     assert not any(s.a) and not any(s.b)
 
 
 def test_anyon_string_requires_matching_path():
-    lat, _ = toric.build_toric(2, 3, 4)
-    primal = toric.primal_path(lat, [(0, 0), (1, 0)])
+    lat = toric.build_toric(2, 3, 4).lattice
+    primal = toric.primal_walk(lat, (0, 0), ["+x"])
     with pytest.raises(toric.InvalidPath):
         toric.anyon_string(lat, toric.AnyonType(0, 1), primal)
-    dual = toric.dual_path(lat, [(0, 0), (1, 0)])
+    dual = toric.dual_walk(lat, (0, 0), ["+x"])
     with pytest.raises(toric.InvalidPath):
         toric.anyon_string(lat, toric.AnyonType(1, 0), dual)
 
 
-def test_path_rejects_nonadjacent():
-    lat, _ = toric.build_toric(2, 4, 4)
-    with pytest.raises(toric.InvalidPath):
-        toric.primal_path(lat, [(0, 0), (2, 0)])
-    with pytest.raises(toric.InvalidPath):
-        toric.dual_path(lat, [(0, 0), (1, 1)])
+def test_walk_rejects_unknown_move():
+    lat = toric.build_toric(2, 4, 4).lattice
     with pytest.raises(toric.InvalidPath):
         toric.primal_walk(lat, (0, 0), ["+z"])
+    with pytest.raises(toric.InvalidPath):
+        toric.dual_walk(lat, (0, 0), ["+x", ["+y"]])
 
 
 def test_open_string_syndrome():
     # an open e-string anticommutes with exactly its two endpoint vertices
     q = 3
-    lat, group = toric.build_toric(q, 3, 4)
-    path = toric.primal_path(lat, [(0, 0), (1, 0), (2, 0)])
+    lat = toric.build_toric(q, 3, 4).lattice
+    path = toric.primal_walk(lat, (0, 0), ["+x", "+x"])
     s = toric.anyon_string(lat, toric.AnyonType(1, 0), path)
     hits = []
     for y in range(4):
@@ -143,21 +151,11 @@ def test_open_string_syndrome():
 
 
 def test_noncontractible_loop_commutes_everywhere():
-    lat, group = toric.build_toric(2, 3, 3)
-    loop = toric.primal_path(lat, [(x, 0) for x in range(3)] + [(0, 0)])
-    s = toric.anyon_string(lat, toric.AnyonType(1, 0), loop)
-    for g in group.gens:
+    code = toric.build_toric(2, 3, 3)
+    loop = toric.primal_walk(code.lattice, (0, 0), ["+x"] * 3)
+    s = toric.anyon_string(code.lattice, toric.AnyonType(1, 0), loop)
+    for g in code.group.gens:
         assert pauli.commutation_exponent(s, g) == 0
-
-
-def test_walks_match_vertex_paths():
-    lat, _ = toric.build_toric(2, 3, 4)
-    byv = toric.primal_path(lat, [(0, 0), (1, 0), (1, 1)])
-    byw = toric.primal_walk(lat, (0, 0), ["+x", "+y"])
-    assert byv == byw
-    byv2 = toric.dual_path(lat, [(0, 0), (1, 0)])
-    byw2 = toric.dual_walk(lat, (0, 0), ["+x"])
-    assert byv2 == byw2
 
 
 @pytest.mark.parametrize("q", [2, 3])
@@ -165,7 +163,7 @@ def test_s_matrix_trivial_second_type(q):
     code = toric.build_toric(q, 2, 2)
     for a in range(q):
         for b in range(q):
-            s = toric.s_matrix_element(code, toric.AnyonType(a, b), toric.AnyonType(0, 0))
+            s = braiding_phase(code, toric.AnyonType(a, b), toric.AnyonType(0, 0))
             assert abs(s - 1.0) < 1e-12
 
 
@@ -175,7 +173,7 @@ def test_s_matrix_group_vs_dense_and_oracle(q):
     lat = code.lattice
     for a1, b1, a2, b2 in itertools.product(range(q), repeat=4):
         t1, t2 = toric.AnyonType(a1, b1), toric.AnyonType(a2, b2)
-        s_group = toric.s_matrix_element(code, t1, t2)
+        s_group = braiding_phase(code, t1, t2)
         s_dense = toric.s_matrix_dense(code, t1, t2)
         s_oracle = toric.crossing_phase_oracle(lat, t1, t2)
         assert abs(s_group - s_dense) < 1e-9
@@ -190,8 +188,8 @@ def test_s_matrix_deformation_invariance():
     group = toric.ground_group(code)
     for a1, b1, a2, b2 in [(1, 0, 0, 1), (1, 1, 2, 1), (2, 0, 0, 2)]:
         t1, t2 = toric.AnyonType(a1, b1), toric.AnyonType(a2, b2)
-        s1 = toric.s_matrix_element(code, t1, t2, base, group)
-        s2 = toric.s_matrix_element(code, t1, t2, deformed, group)
+        s1 = braiding_phase(code, t1, t2, base, group)
+        s2 = braiding_phase(code, t1, t2, deformed, group)
         assert abs(s1 - s2) < 1e-12
 
 
@@ -228,7 +226,7 @@ def test_quantization_check_matches_pairwise_evaluator(q, Lx, Ly):
     report = toric.quantization_check(code)
     assert report.ok
     for e in report.entries:
-        assert e.phase == toric.s_matrix_element(code, e.t1, e.t2, paths, group)
+        assert e.phase == braiding_phase(code, e.t1, e.t2, paths, group)
         oracle = toric.crossing_phase_oracle(lat, e.t1, e.t2)
         assert e.oracle_ok == (abs(e.phase - oracle) <= 1e-9)
         assert e.oracle_ok and e.formula_ok
@@ -240,7 +238,7 @@ def test_quantization_check_matches_pairwise_evaluator(q, Lx, Ly):
     assert [(e.t1, e.t2) for e in entries] == pairs
     assert entries[0] == entries[2]
     assert entries[1].phase == entries[0].phase
-    assert entries[3].phase == toric.s_matrix_element(code, m_, e_)
+    assert entries[3].phase == braiding_phase(code, m_, e_)
     assert all(e.oracle_ok and e.formula_ok for e in entries)
 
 
@@ -271,6 +269,21 @@ def test_ring_annulus_structure():
     assert len(ring.thickened) == 9
     assert len(ring.strings) == 4
     assert all(len(b) == 1 for b in ring.balls)
+    # at q = 3 on 3 x 4 the e string is Z on v(1, 0) and v(1, 1), edges 13
+    # and 16, and the m string X^-1 on h(0, 0), edge 0
+    ring = toric.ring_annulus(toric.ToricLattice(q=3, Lx=3, Ly=4))
+    assert ring.edges == (0, 1, 3, 4, 12, 14, 16, 22)
+    assert ring.thickened == (0, 1, 3, 4, 12, 13, 14, 16, 22)
+    assert ring.balls == tuple((e,) for e in ring.edges)
+    strings = dict(ring.strings)
+    assert len(strings) == 9 and all(s.c == 0 for s in strings.values())
+
+    def support(s):
+        return ({i: x for i, x in enumerate(s.a) if x}, {i: x for i, x in enumerate(s.b) if x})
+
+    assert support(strings[toric.AnyonType(1, 0)]) == ({13: 1, 16: 1}, {})
+    assert support(strings[toric.AnyonType(0, 1)]) == ({}, {0: 2})
+    assert support(strings[toric.AnyonType(1, 2)]) == ({13: 1, 16: 1}, {0: 1})
 
 
 def test_annulus_extreme_points_q2():
@@ -330,7 +343,7 @@ def test_annulus_repeated_anyon_type_is_unmatched():
 
 def test_annulus_wrong_rephasing_is_disconnected(monkeypatch):
     def identity(gens, targets):
-        return pauli.identity_label(gens[0].q, gens[0].n)
+        return dense_oracles.identity_label(gens[0].q, gens[0].n)
 
     monkeypatch.setattr(stabilizer, "find_rephasing_pauli", identity)
     report = toric.annulus_extreme_points(toric.build_toric(2, 3, 4))
