@@ -310,10 +310,11 @@ def cmd_assemble(args, config: RunConfig) -> int:
         raise DataError("malformed JSON input: %s" % exc)
     try:
         profile = witness.DecayProfile(
-            K=float(prof["K"]), xi=float(prof["xi"]), m=dense.json_int(prof["m"]),
-            r0=float(prof["r0"]), c1=float(prof["c1"]), n=dense.json_int(prof["n"]),
+            K=dense.json_real(prof["K"]), xi=dense.json_real(prof["xi"]),
+            m=dense.json_int(prof["m"]), r0=dense.json_real(prof["r0"]),
+            c1=dense.json_real(prof["c1"]), n=dense.json_int(prof["n"]),
         )
-        cert_list = [(float(e), dense.json_int(d)) for e, d in certs]
+        cert_list = [(dense.json_real(e), dense.json_int(d)) for e, d in certs]
         bound = witness.logn_lrm_assemble(profile, cert_list, config)
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError("bad profile or certificates: %s" % exc)

@@ -8,6 +8,7 @@ Conventions, fixed package-wide:
 """
 
 import json
+import sys
 from typing import Callable, Sequence
 
 import numpy as np
@@ -133,9 +134,17 @@ def json_int(x) -> int:
     return x
 
 
+def json_real(x) -> float:
+    """x as a float if it is a finite JSON number; anything else is a ValueError."""
+    # NaN compares false, and an int past the float range fails before float() overflows
+    if type(x) not in (int, float) or not abs(x) <= sys.float_info.max:
+        raise ValueError("expected a finite real number, got %r" % (x,))
+    return float(x)
+
+
 def state_from_json(text: str):
     obj = json.loads(text)
     q = json_int(obj["q"])
     n = json_int(obj["n"])
-    amps = [complex(re, im) for re, im in obj["amplitudes"]]
+    amps = [complex(json_real(re), json_real(im)) for re, im in obj["amplitudes"]]
     return q, n, state_from_amplitudes(q, n, amps)

@@ -40,7 +40,7 @@ on small patches into global fidelity/entropy lower bounds.
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -75,14 +75,14 @@ def _bracket(lower: float, upper: float, report: Callable[[float], float]) -> Me
 class StabilizerDictionary:
     n: int
     q: int
-    vectors: List[np.ndarray]
+    matrix: np.ndarray   # d x K, read-only: column k is the dictionary vector phi_k
     labels: np.ndarray   # K x d: the flat label (_pauli_transform) of each element of phi_k's group
     phases: np.ndarray   # K x d: its phase c, the element being omega_{2q}^c Z^a X^b
 
-    @cached_property
-    def matrix(self) -> np.ndarray:
-        """The d x K matrix whose columns are the dictionary vectors."""
-        return np.column_stack(self.vectors)
+    @property
+    def vectors(self) -> np.ndarray:
+        """The K x d view of matrix whose rows are the dictionary vectors."""
+        return self.matrix.T
 
     @cached_property
     def pauli_lp(self) -> Tuple[simplex.Csc, np.ndarray, np.ndarray, np.ndarray]:
@@ -129,7 +129,9 @@ def build_dictionary(n: int, q: int, config: RunConfig = DEFAULT_CONFIG) -> Stab
         elements.append(stabilizer._element_arrays(sps.group)[:3])
     A, B, phases = map(np.array, zip(*elements))
     labels = np.concatenate([A, B], axis=2) @ q ** np.arange(2 * n - 1, -1, -1)
-    return StabilizerDictionary(n=n, q=q, vectors=vectors, labels=labels, phases=phases)
+    matrix = np.column_stack(vectors)
+    matrix.flags.writeable = False
+    return StabilizerDictionary(n=n, q=q, matrix=matrix, labels=labels, phases=phases)
 
 
 # ---------------------------------------------------------------------------
@@ -142,7 +144,7 @@ def lf_pure(psi: np.ndarray, dic: StabilizerDictionary,
     hull of pure stabilizer states is attained at a vertex."""
     fids = np.abs(psi.conj() @ dic.matrix) ** 2
     k = int(np.argmax(fids))
-    return -log_value(float(fids[k]), config), dic.vectors[k]
+    return -log_value(float(fids[k]), config), dic.matrix[:, k].copy()
 
 
 # ---------------------------------------------------------------------------
@@ -182,8 +184,8 @@ def lr_lp(rho: np.ndarray, dic: StabilizerDictionary,
     outside the bracket: the lower end is computed on rho itself, while
     the upper end, the cost of decomposing rho + E, is off by Tr(A E).
     """
-    q, n, K = dic.q, dic.n, len(dic.vectors)
     H, rot, re, im = dic.pauli_lp
+    q, n, K = dic.q, dic.n, H.shape[1]
     t = rot * _pauli_transform(rho, q, n).ravel()
     b = np.concatenate([t[re].real, t[im].imag])
     sol = simplex.solve_lp(dic.split_lp, b, np.ones(2 * K))

@@ -7,10 +7,12 @@ annulus demonstration.
 
 Conventions.  Edges are oriented right (+x, horizontal) and up (+y,
 vertical); h(x, y) points from vertex (x, y) to (x+1, y) and v(x, y) from
-(x, y) to (x, y+1).  Vertex operators put X^{+1} on outgoing and X^{-1} on
-incoming edges; plaquette operators put Z^{+1} on edges traversed along the
-counterclockwise boundary orientation and Z^{-1} against it.  With this one
-rule all generators commute for every q.
+(x, y) to (x, y+1).  The move table _MOVES holds the one sign rule of every
+path, and the stabilizers and logical loops are closed walks through it: a
+plaquette operator is the unit electric string counterclockwise around its
+plaquette, a vertex operator the unit magnetic string on the dual loop
+around its vertex, and the logical Z loops the straight noncontractible
+electric strings.  With this one rule all generators commute for every q.
 """
 
 import cmath
@@ -61,21 +63,13 @@ class ToricLattice:
 
 
 def vertex_operator(lat: ToricLattice, x: int, y: int) -> PauliLabel:
-    b = [0] * lat.n_edges
-    b[lat.h_edge(x, y)] += 1
-    b[lat.v_edge(x, y)] += 1
-    b[lat.h_edge(x - 1, y)] -= 1
-    b[lat.v_edge(x, y - 1)] -= 1
-    return pauli.label(lat.q, lat.n_edges, [0] * lat.n_edges, b, 0)
+    """The magnetic loop around vertex (x, y), through its four plaquettes."""
+    return anyon_string(lat, AnyonType(0, 1), dual_walk(lat, (x - 1, y - 1), _LOOP))
 
 
 def plaquette_operator(lat: ToricLattice, x: int, y: int) -> PauliLabel:
-    a = [0] * lat.n_edges
-    a[lat.h_edge(x, y)] += 1
-    a[lat.v_edge(x + 1, y)] += 1
-    a[lat.h_edge(x, y + 1)] -= 1
-    a[lat.v_edge(x, y)] -= 1
-    return pauli.label(lat.q, lat.n_edges, a, [0] * lat.n_edges, 0)
+    """The electric loop around plaquette (x, y)."""
+    return anyon_string(lat, AnyonType(1, 0), primal_walk(lat, (x, y), _LOOP))
 
 
 @dataclass(frozen=True)
@@ -102,18 +96,9 @@ def build_toric(q: int, Lx: int, Ly: int) -> ToricCode:
 def logical_z_pair(lat: ToricLattice) -> Tuple[PauliLabel, PauliLabel]:
     """The two noncontractible Z loops: along horizontal row 0 and vertical
     column 0.  Both commute with every vertex and plaquette operator."""
-    n = lat.n_edges
-    a1 = [0] * n
-    for x in range(lat.Lx):
-        a1[lat.h_edge(x, 0)] = 1
-    a2 = [0] * n
-    for y in range(lat.Ly):
-        a2[lat.v_edge(0, y)] = 1
-    z = [0] * n
-    return (
-        pauli.label(lat.q, n, a1, z, 0),
-        pauli.label(lat.q, n, a2, z, 0),
-    )
+    e = AnyonType(1, 0)
+    return (anyon_string(lat, e, primal_walk(lat, (0, 0), ["+x"] * lat.Lx)),
+            anyon_string(lat, e, primal_walk(lat, (0, 0), ["+y"] * lat.Ly)))
 
 
 def ground_group(code: ToricCode, sector: Tuple[int, int] = (0, 0)) -> StabilizerGroup:
@@ -178,6 +163,7 @@ _MOVES = {
     "+y": ((0, 1), {PRIMAL: (_V, 0, 0, 1), DUAL: (_H, 0, 1, 1)}),
     "-y": ((0, -1), {PRIMAL: (_V, 0, -1, -1), DUAL: (_H, 0, 0, -1)}),
 }
+_LOOP = ("+x", "+y", "-x", "-y")   # counterclockwise around one face
 
 
 def _walk(lat: ToricLattice, kind: str, start: Tuple[int, int],
@@ -256,26 +242,14 @@ class SmatrixPaths:
     w_u: Tuple[StringPath, StringPath]
 
 
-def smatrix_paths(lat: ToricLattice, deform_lower: bool = False) -> SmatrixPaths:
-    """Default geometry near the origin (any torus of at least 2 x 2).
-
-    With deform_lower the lower V string makes a homotopic detour through row
-    Ly - 1 (needs Ly >= 3); the braiding phase is deformation invariant.
-    """
+def smatrix_paths(lat: ToricLattice) -> SmatrixPaths:
+    """Default geometry near the origin (any torus of at least 2 x 2)."""
     if lat.Lx < 2 or lat.Ly < 2:
         raise GeometryTooSmall("the string layout needs at least a 2 x 2 torus")
-    if deform_lower:
-        if lat.Ly < 3:
-            raise GeometryTooSmall("the deformed lower string needs Ly >= 3")
-        v_d = (
-            primal_walk(lat, (0, 0), ["-y", "+x", "+y"]),
-            dual_walk(lat, (0, 0), ["-y", "+x", "+y"]),
-        )
-    else:
-        v_d = (
-            primal_walk(lat, (0, 0), ["+x"]),
-            dual_walk(lat, (0, 0), ["+x"]),
-        )
+    v_d = (
+        primal_walk(lat, (0, 0), ["+x"]),
+        dual_walk(lat, (0, 0), ["+x"]),
+    )
     v_u = (
         primal_walk(lat, (0, 0), ["+y", "+x", "-y"]),
         dual_walk(lat, (0, 0), ["+y", "+x", "-y"]),
@@ -324,13 +298,10 @@ def _oracle_phase(q: int, crossings: Tuple[int, int], t1: AnyonType,
     return cmath.exp(2j * cmath.pi * e / q)
 
 
-def crossing_phase_oracle(lat: ToricLattice, t1: AnyonType, t2: AnyonType,
-                          paths: Optional[SmatrixPaths] = None) -> complex:
+def crossing_phase_oracle(lat: ToricLattice, t1: AnyonType, t2: AnyonType) -> complex:
     """Braiding phase predicted combinatorially: omega to the symplectic
     crossing number of the V loop with the lower W string."""
-    if paths is None:
-        paths = smatrix_paths(lat)
-    return _oracle_phase(lat.q, crossing_numbers(paths), t1, t2)
+    return _oracle_phase(lat.q, crossing_numbers(smatrix_paths(lat)), t1, t2)
 
 
 class _TypeStrings(NamedTuple):
@@ -400,13 +371,11 @@ class _Braiding:
 
 
 def s_matrix_dense(code: ToricCode, t1: AnyonType, t2: AnyonType,
-                   paths: Optional[SmatrixPaths] = None,
                    config: RunConfig = DEFAULT_CONFIG) -> complex:
     """Independent oracle for _Braiding.phase: the same normalized
     expectation evaluated on the dense ground-state vector."""
     lat = code.lattice
-    if paths is None:
-        paths = smatrix_paths(lat)
+    paths = smatrix_paths(lat)
     s1, s2 = _type_strings(lat, t1, paths), _type_strings(lat, t2, paths)
     psi = ground_state(code, config=config)
 
@@ -436,9 +405,12 @@ class QuantizationReport:
     entries: Tuple[QuantizationEntry, ...]
 
 
+PHASE_TOL = 1e-9   # quantization_check's tolerance on every phase
+
+
 def quantization_check(code: ToricCode,
-                       pairs: Optional[Sequence[Tuple[AnyonType, AnyonType]]] = None,
-                       tol: float = 1e-9) -> QuantizationReport:
+                       pairs: Optional[Sequence[Tuple[AnyonType, AnyonType]]] = None
+                       ) -> QuantizationReport:
     """Braiding phases for all type pairs are q-th roots of unity.
 
     Each phase is compared against the crossing-count oracle and against the
@@ -470,11 +442,11 @@ def quantization_check(code: ToricCode,
         k = round(q * (cmath.phase(phase) / (2 * math.pi))) % q
         dev = abs(phase - cmath.exp(2j * cmath.pi * k / q))
         oracle = _oracle_phase(q, crossings, t1, t2)
-        oracle_ok = abs(phase - oracle) <= tol
+        oracle_ok = abs(phase - oracle) <= PHASE_TOL
         e_form = (sigma * (t1.a * t2.b + t1.b * t2.a)) % q
-        formula_ok = abs(phase - cmath.exp(2j * cmath.pi * e_form / q)) <= tol
+        formula_ok = abs(phase - cmath.exp(2j * cmath.pi * e_form / q)) <= PHASE_TOL
         max_dev = max(max_dev, dev)
-        if dev > tol or not oracle_ok or not formula_ok:
+        if dev > PHASE_TOL or not oracle_ok or not formula_ok:
             ok = False
         entries.append(QuantizationEntry(
             t1=t1, t2=t2, phase=phase, power=k, deviation=dev,

@@ -156,14 +156,9 @@ def mi_stability_check(psi: np.ndarray, q: int, n: int, depth: int,
     Bm = _shrink(B, depth, n)
     if rng is None:
         rng = np.random.default_rng(config.seed)
-    gates = {}
-
-    def supplier(layer, left):
-        if (layer, left) not in gates:
-            gates[(layer, left)] = random_two_site_gate(rng, q)
-        return gates[(layer, left)]
-
-    evolved = dense.apply_brickwork(psi, q, n, depth, supplier)
+    # apply_brickwork asks for each gate once, in layer order
+    evolved = dense.apply_brickwork(psi, q, n, depth,
+                                    lambda layer, left: random_two_site_gate(rng, q))
     i_mid = _pure_mutual_information(evolved, q, n, A, B, config)
     i_plus = _pure_mutual_information(psi, q, n, Ap, Bp, config)
     if Am and Bm:

@@ -313,6 +313,10 @@ def test_magic_bad_header_is_data_error(capsys, tmp_path):
 
 @pytest.mark.parametrize("field,value", [
     ("q", 2.9), ("q", "2"), ("q", 2.0), ("n", True), ("n", 1.0),
+    # each amplitude's re and im must be JSON numbers, not booleans
+    ("amplitudes", [[True, False], [False, False]]),
+    ("amplitudes", [[1.0, False], [0.0, 0.0]]),
+    ("amplitudes", [[0.0, True], [0.0, 0.0]]),
 ])
 def test_magic_non_integer_header_is_data_error(capsys, tmp_path, field, value):
     # q and n must be JSON integers, not numbers that truncate to one
@@ -427,12 +431,17 @@ def test_witness_assemble_rejects_small_patch_dimension(capsys, tmp_path, D):
 
 @pytest.mark.parametrize("field,value", [
     ("m", 1.9), ("n", 100.7), ("m", "10"), ("m", True), ("D", 2.9), ("D", "2"), ("D", 2.0),
+    # K, xi, r0, c1 and each eps must be finite JSON numbers
+    ("K", "1.0"), ("K", 10 ** 400), ("xi", True), ("xi", float("inf")), ("r0", "2"), ("c1", "3.0"),
+    ("eps", "0.5"), ("eps", True),
 ])
 def test_witness_assemble_rejects_non_integers(capsys, tmp_path, field, value):
     # m, n and each D must be JSON integers, not numbers that truncate to one
     profile = {"K": 1.0, "xi": 1.0, "m": 10, "r0": 2.0, "c1": 3.0, "n": 1024}
     cert = [0.5, 2]
-    if field == "D":
+    if field == "eps":
+        cert[0] = value
+    elif field == "D":
         cert[1] = value
     else:
         profile[field] = value

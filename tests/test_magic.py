@@ -60,6 +60,18 @@ def test_lf_pure_known_values(dic12):
         assert abs(v) < 1e-10
 
 
+def test_dictionary_holds_each_state_once():
+    # vectors is a view of matrix, and lf_pure's witness is a copy: editing
+    # it leaves the dictionary as it was
+    dic = magic.build_dictionary(1, 2, RunConfig())
+    assert np.shares_memory(dic.vectors, dic.matrix)
+    before = dic.matrix.copy()
+    _, witness = magic.lf_pure(t_state(), dic)
+    witness[:] = 0.0
+    assert np.array_equal(dic.matrix, before)
+    assert np.array_equal(dic.vectors, before.T)
+
+
 def row_labels(q, n):
     """The labels of lr_lp's rows, in itertools.product order: Re rows for
     P = P^dag and for the first of each pair P, P^dag, then Im rows for the
@@ -630,6 +642,23 @@ def test_smax_leaves_a_singular_face(convergence_dics):
     assert res.s_max_set.status == magic.STATUS_EXACT
     assert res.iterations < 200
     assert abs(res.lam - 2.053846839968931) < 1e-12
+
+
+@pytest.mark.parametrize("n,q,s", [(1, 6, 28), (2, 3, 30), (1, 6, 36)])
+def test_magic_report_exact_after_reseed(n, q, s, convergence_dics):
+    # sparse superpositions of 2 or 3 dictionary states whose S_max run
+    # stalls on a singular face and is reseeded; without the reseed S_max
+    # and LGR end upper-estimate at the iteration cap
+    dic = convergence_dics.get((n, q)) or magic.build_dictionary(n, q)
+    K = dic.matrix.shape[1]
+    rng = np.random.default_rng(1000 * q + s)
+    k = int(rng.integers(2, 4))
+    atoms = rng.choice(K, k, replace=False)
+    psi = dic.matrix[:, atoms] @ (rng.normal(size=k) + 1j * rng.normal(size=k))
+    psi /= np.linalg.norm(psi)
+    rep = magic.magic_report(dense.density_of(psi), dic)
+    for m in (rep.lf, rep.s_rel, rep.s_max_set, rep.lgr, rep.lr):
+        assert m.status == magic.STATUS_EXACT
 
 
 def test_rel_entropy_t_state(dic12):

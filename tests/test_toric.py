@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -36,6 +37,28 @@ def test_all_generators_commute_dense():
     mats = [dense_oracles.to_dense(g) for g in group.gens]
     for A, B in itertools.combinations(mats, 2):
         assert np.allclose(A @ B, B @ A, atol=1e-10)
+
+
+def test_closed_string_labels_pinned():
+    # q = 3 on 3 x 3: edges h(x, y) = 3y + x, v(x, y) = 9 + 3y + x
+    lat = toric.ToricLattice(q=3, Lx=3, Ly=3)
+
+    def at(entries):
+        out = [0] * 18
+        for edge, e in entries.items():
+            out[edge] = e
+        return tuple(out)
+
+    zero = at({})
+    # X on h(0,0), v(0,0) out of vertex (0,0); X^-1 on h(2,0), v(0,2) into it
+    assert toric.vertex_operator(lat, 0, 0) == pauli.PauliLabel(
+        3, 18, zero, at({0: 1, 9: 1, 2: 2, 15: 2}), 0)
+    # Z on h(0,0), v(1,0) counterclockwise; Z^-1 on h(0,1), v(0,0)
+    assert toric.plaquette_operator(lat, 0, 0) == pauli.PauliLabel(
+        3, 18, at({0: 1, 10: 1, 3: 2, 9: 2}), zero, 0)
+    z1, z2 = toric.logical_z_pair(lat)
+    assert z1 == pauli.PauliLabel(3, 18, at({0: 1, 1: 1, 2: 1}), zero, 0)
+    assert z2 == pauli.PauliLabel(3, 18, at({9: 1, 12: 1, 15: 1}), zero, 0)
 
 
 def test_logical_z_pair_commutes_with_code():
@@ -184,7 +207,11 @@ def test_s_matrix_deformation_invariance():
     code = toric.build_toric(3, 3, 3)
     lat = code.lattice
     base = toric.smatrix_paths(lat)
-    deformed = toric.smatrix_paths(lat, deform_lower=True)
+    # the lower V string makes a homotopic detour through row Ly - 1
+    deformed = dataclasses.replace(base, v_d=(
+        toric.primal_walk(lat, (0, 0), ["-y", "+x", "+y"]),
+        toric.dual_walk(lat, (0, 0), ["-y", "+x", "+y"]),
+    ))
     group = toric.ground_group(code)
     for a1, b1, a2, b2 in [(1, 0, 0, 1), (1, 1, 2, 1), (2, 0, 0, 2)]:
         t1, t2 = toric.AnyonType(a1, b1), toric.AnyonType(a2, b2)
@@ -194,9 +221,9 @@ def test_s_matrix_deformation_invariance():
 
 
 def test_smatrix_paths_need_room():
-    lat = toric.ToricLattice(q=2, Lx=2, Ly=2)
+    lat = toric.ToricLattice(q=2, Lx=2, Ly=1)
     with pytest.raises(toric.GeometryTooSmall):
-        toric.smatrix_paths(lat, deform_lower=True)
+        toric.smatrix_paths(lat)
 
 
 def test_crossing_numbers_default_geometry():
