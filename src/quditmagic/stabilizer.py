@@ -31,6 +31,14 @@ once; the commutation and phase checks still run on every call.  The
 elements of every group come from one table per lattice, with phases
 base + M.c.
 
+Two more memos follow the same split.  expectation_exponent keeps, next to
+the augmented form, the cross table T[j][i] = a_j.b_i, so the phase of the
+element x it solves for is product_label's sum over the nonzero x_j alone,
+O(nnz(x)^2) integer terms.  find_rephasing_pauli keeps the generators'
+orders, their independence verdict and the augmented form of the transposed
+(b | -a) rows, so each call is one solve_form; a dependent set still raises
+on every call.
+
 supported_subgroup goes one step further and memos a phase map: its
 generators are products h_j = prod_i g_i^{x_ji} with phases
 base_j + x_j.c, so each relation rel among the h_j, whose own base phase is
@@ -242,8 +250,14 @@ def member(S: StabilizerGroup, P: PauliLabel) -> str:
 
 
 @functools.lru_cache(maxsize=16)
-def _augmented_form(q: int, rows: Tuple[Tuple[int, ...], ...]) -> Tuple:
-    return tuple(map(tuple, linalg.augmented_form(rows, q)))
+def _exponent_data(q: int, rows: Tuple[Tuple[int, ...], ...]) -> Tuple:
+    """(H, T) for generators with these exponent rows: H their augmented
+    form, T the cross table T[j][i] = a_j . b_i, from which
+    expectation_exponent reads product_label's a_j . B_{<j} terms."""
+    n = len(rows[0]) // 2
+    H = tuple(map(tuple, linalg.augmented_form(rows, q)))
+    T = tuple(tuple(sum(map(mul, rj[:n], ri[n:])) for ri in rows) for rj in rows)
+    return H, T
 
 
 def expectation_exponent(S: StabilizerGroup, P: PauliLabel) -> Optional[int]:
@@ -251,17 +265,30 @@ def expectation_exponent(S: StabilizerGroup, P: PauliLabel) -> Optional[int]:
 
     On any state stabilized by S the expectation of P is omega_{2q}^e; for
     Paulis outside the phase-extended group the expectation vanishes.
+
+    s = prod_j g_j^{x_j} for the solution x of x.rows = (a|b) of P, and its
+    phase is product_label's sum over the nonzero x_j, with each
+    a_j . B_{<j} = sum_{i<j} x_i T[j][i] read off the cross table.
     """
+    if P.q != S.q or P.n != S.n:
+        raise pauli.ShapeMismatch("Pauli and group live on different (n, q)")
     if not S.gens:
         if any(P.a) or any(P.b):
             return None
         return P.c
-    H = _augmented_form(S.q, _rows_key(S.gens))
+    H, T = _exponent_data(S.q, _rows_key(S.gens))
     x = linalg.solve_form(H, pauli.symplectic_vector(P), S.q)
     if x is None:
         return None
-    s = product_label(S.gens, x)
-    return (P.c - s.c) % (2 * S.q)
+    c = 0
+    done: List[Tuple[int, int]] = []
+    for j, xj in enumerate(x):
+        if xj:
+            Tj = T[j]
+            cross = sum([xi * Tj[i] for i, xi in done])
+            c += xj * (S.gens[j].c - Tj[j] * (xj - 1) - 2 * cross)
+            done.append((j, xj))
+    return (P.c - c) % (2 * S.q)
 
 
 def _check_sites(n: int, region: Sequence[int]) -> None:
@@ -639,6 +666,23 @@ def extreme_points(
 # Pauli re-phasing (conjugation characters)
 # ---------------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=16)
+def _rephasing_data(q: int, n: int, rows: Tuple[Tuple[int, ...], ...]) -> Tuple:
+    """Phase-free part of find_rephasing_pauli for generators with these
+    exponent rows: (orders, independent, H) with H the augmented form of
+    the transpose of the rows (b | -a), so that solve_form(H, v) solves
+    (b | -a) z = v.  Its rows with a nonzero first part are the Howell form
+    of the column span of (b | -a), which has the order of the row span of
+    (a | b) (both follow from the Smith form), so the independence check,
+    prod orders = |span|, needs no second Howell form."""
+    orders = tuple(pauli.order(PauliLabel(q, n, r[:n], r[n:], 0)) for r in rows)
+    k = len(rows)
+    C = [r[n:] + tuple(-x for x in r[:n]) for r in rows]
+    H = linalg.augmented_form([list(col) for col in zip(*C)], q)
+    span = linalg.form_order([row[:k] for row in H if any(row[:k])], q)
+    return orders, span == functools.reduce(mul, orders, 1), tuple(map(tuple, H))
+
+
 def find_rephasing_pauli(
     gens: Sequence[PauliLabel], targets: Sequence[int]
 ) -> PauliLabel:
@@ -652,22 +696,14 @@ def find_rephasing_pauli(
         raise ValueError("no generators to re-phase")
     if len(targets) != len(gens):
         raise ValueError("%d targets for %d generators" % (len(targets), len(gens)))
-    q = gens[0].q
-    n = gens[0].n
-    rows = [pauli.symplectic_vector(g) for g in gens]
-    total = linalg.subgroup_order(rows, q, 2 * n)
-    prod_orders = 1
-    for g in gens:
-        prod_orders *= pauli.order(g)
-    if total != prod_orders:
+    q, n = gens[0].q, gens[0].n
+    if any(g.q != q or g.n != n for g in gens):
+        raise pauli.ShapeMismatch("mixed (n, q) in generators")
+    orders, independent, H = _rephasing_data(q, n, _rows_key(gens))
+    if not independent:
         raise NotIndependent("generators are not independent")
-    C = []
-    rhs = []
-    for g, u in zip(gens, targets):
-        delta = pauli.order(g)
-        C.append(list(g.b) + [-x for x in g.a])
-        rhs.append((q // delta) * (u % delta))
-    z = linalg.solve_right_mod(C, rhs, q)
+    rhs = [(q // delta) * (u % delta) for delta, u in zip(orders, targets)]
+    z = linalg.solve_form(H, rhs, q)
     if z is None:
         raise AssertionError("re-phasing congruence unsolvable on independent input")
     return pauli.label(q, n, z[:n], z[n:], 0)

@@ -612,18 +612,20 @@ def annulus_extreme_points(code: ToricCode,
 
     # the dense cross-check gates ok but is not reported: its norms carry
     # BLAS rounding that moves with the thread count, where the group
-    # comparisons above are exact
+    # comparisons above are exact.  Each matrix must first be Hermitian
+    # (max |A - A^dagger| <= 1e-12); for Hermitian A and B, BA = (AB)^dagger,
+    # so the commutator is C - C^dagger with C = AB, one product per pair
     dense_checked, dense_commute = False, True
     if q ** m <= min(config.dense_limit, 4096):
         dense_checked = True
         mats = [stabilizer.sps_dense(pt.state, config) for pt in points]
 
         def commutator_norm(A: np.ndarray, B: np.ndarray) -> float:
-            AB = A @ B
-            AB -= B @ A  # in place: the check's largest temporary is its products
-            return np.linalg.norm(AB)
+            C = A @ B
+            C -= C.conj().T  # in place: the check's largest temporaries are C and its adjoint
+            return np.linalg.norm(C)
 
-        dense_commute = all(
+        dense_commute = all(np.abs(A - A.conj().T).max() <= 1e-12 for A in mats) and all(
             commutator_norm(mats[i], mats[j]) < 1e-9
             for i in range(len(mats)) for j in range(i + 1, len(mats)))
 

@@ -164,6 +164,24 @@ def test_membership_verdicts():
     assert stabilizer.member(S, lbl(2, 1, [0], [1])) == stabilizer.MEMBER_NO
 
 
+BELL_GROUP = stabilizer.validate([lbl(2, 2, [1, 1], [0, 0]), lbl(2, 2, [0, 0], [1, 1])])
+
+
+@pytest.mark.parametrize("S,P", [
+    (BELL_GROUP, lbl(3, 2, [1, 1], [0, 0])),
+    (BELL_GROUP, lbl(4, 2, [2, 2], [0, 0])),
+    (BELL_GROUP, lbl(2, 3, [1, 1, 0], [0, 0, 0])),
+    (stabilizer.trivial_group(2, 2), lbl(2, 3, [0, 0, 0], [0, 0, 0], 2)),
+])
+def test_membership_rejects_other_shapes(S, P):
+    # a Pauli on another (q, n) raises instead of reading a verdict off its
+    # exponents taken mod the group's q
+    with pytest.raises(pauli.ShapeMismatch):
+        stabilizer.expectation_exponent(S, P)
+    with pytest.raises(pauli.ShapeMismatch):
+        stabilizer.member(S, P)
+
+
 def test_expectation_exponent_matches_dense():
     # stabilizer of (|00> + |11>)/sqrt(2): XX and ZZ
     S = stabilizer.validate([lbl(2, 2, [0, 0], [1, 1]), lbl(2, 2, [1, 1], [0, 0])])
@@ -393,6 +411,55 @@ def test_expectation_exponent_matches_element_lookup(q):
             c = phase_of.get((P.a, P.b))
             expected = None if c is None else (P.c - c) % (2 * q)
             assert stabilizer.expectation_exponent(S, P) == expected
+
+
+def reference_exponent(S, H, P):
+    """expectation_exponent as solve_form on H, the augmented form of S's
+    rows, then product_label on the solution."""
+    if not S.gens:
+        return None if any(P.a) or any(P.b) else P.c
+    x = linalg.solve_form(H, pauli.symplectic_vector(P), S.q)
+    if x is None:
+        return None
+    return (P.c - stabilizer.product_label(S.gens, x).c) % (2 * S.q)
+
+
+def augmented_rows(S):
+    return linalg.augmented_form([pauli.symplectic_vector(g) for g in S.gens], S.q)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 6])
+def test_expectation_exponent_matches_product_label_one_site(q):
+    paulis = [lbl(q, 1, [a], [b], c)
+              for a in range(q) for b in range(q) for c in range(2 * q)]
+    for S in stabilizer.enumerate_stabilizer_groups(1, q):
+        H = augmented_rows(S) if S.gens else None
+        for P in paulis:
+            assert stabilizer.expectation_exponent(S, P) == reference_exponent(S, H, P)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+@pytest.mark.parametrize("Lx,Ly", [(2, 2), (2, 3), (3, 3)])
+def test_expectation_exponent_matches_product_label_toric(q, Lx, Ly):
+    # 10-20 generators: the cross table's i < j terms against product_label's
+    # running B_{<j}, on every braid operator and loop of the braiding table,
+    # in a sector whose logical generators carry phases, plus non-members
+    code = toric.build_toric(q, Lx, Ly)
+    lat = code.lattice
+    rng = np.random.default_rng(100 * q + 10 * Lx + Ly)
+    for sector in ((0, 0), (1, q - 1)):
+        braiding = toric._Braiding(lat, toric.smatrix_paths(lat), toric.ground_group(code, sector))
+        S = braiding.group
+        strings = [braiding._type(toric.AnyonType(a, b))[0] for a in range(q) for b in range(q)]
+        ops = [s.l_v for s in strings] + [s.l_w for s in strings]
+        ops += [toric._braid_operator(s1, s2) for s1 in strings for s2 in strings]
+        n = lat.n_edges
+        ops += [lbl(q, n, rng.integers(q, size=n).tolist(), rng.integers(q, size=n).tolist(),
+                    int(rng.integers(2 * q))) for _ in range(40)]
+        H = augmented_rows(S)
+        got = [stabilizer.expectation_exponent(S, P) for P in ops]
+        assert got == [reference_exponent(S, H, P) for P in ops]
+        assert None not in got[:2 * q * q] and None in got[-40:]
 
 
 def test_supported_subgroup_checks_phases_on_every_call():
@@ -646,9 +713,40 @@ def test_find_rephasing_pauli_exhaustive_small():
 
 
 def test_find_rephasing_rejects_dependent():
+    # the independence verdict is memoized with the rows; it raises every time
     gens = [lbl(2, 1, [1], [0]), lbl(2, 1, [1], [0], 2)]
-    with pytest.raises(stabilizer.NotIndependent):
+    for _ in range(2):
+        with pytest.raises(stabilizer.NotIndependent):
+            stabilizer.find_rephasing_pauli(gens, [0, 0])
+
+
+@pytest.mark.parametrize("gens", [
+    [lbl(2, 1, [1], [0]), lbl(3, 1, [0], [1])],
+    [lbl(2, 1, [1], [0]), lbl(2, 2, [0, 0], [1, 0])],
+])
+def test_find_rephasing_rejects_mixed_shapes(gens):
+    with pytest.raises(pauli.ShapeMismatch):
         stabilizer.find_rephasing_pauli(gens, [0, 0])
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_find_rephasing_pauli_matches_solve_right_mod(q):
+    # every ordered pair of annulus points at (q, 3, 4): the memoized form
+    # against a fresh solve of (b | -a) z = (q / delta) u
+    code = toric.build_toric(q, 3, 4)
+    ring = toric.ring_annulus(code.lattice)
+    ref = stabilizer.supported_subgroup(toric.ground_group(code), sorted(ring.thickened))
+    points = stabilizer.extreme_points(
+        stabilizer.StabilizerProjectionState(ref), ring.edges, ring.balls)
+    assert len(points) == q * q
+    for p, r in itertools.permutations(points, 2):
+        gens = p.l_gens
+        orders = [pauli.order(g) for g in gens]
+        deltas = [(ur - up) % d for d, up, ur in zip(orders, p.assignment, r.assignment)]
+        C = [list(g.b) + [-x for x in g.a] for g in gens]
+        z = linalg.solve_right_mod(C, [q // d * u for d, u in zip(orders, deltas)], q)
+        n = gens[0].n
+        assert stabilizer.find_rephasing_pauli(gens, deltas) == lbl(q, n, z[:n], z[n:])
 
 
 def test_find_rephasing_rejects_empty_tableau():

@@ -330,8 +330,8 @@ def test_annulus_extreme_points_q2():
 
 def test_annulus_dense_check_gates_ok(monkeypatch):
     # the dense cross-check does not feed max_commutator, which comes from
-    # the exact sparse products, but a dense commutator >= 1e-9 still fails
-    # the report
+    # the exact sparse products, but a skewed, non-Hermitian matrix still
+    # fails the report
     sps_dense = stabilizer.sps_dense
     calls = []
 
@@ -344,6 +344,50 @@ def test_annulus_dense_check_gates_ok(monkeypatch):
     report = toric.annulus_extreme_points(toric.build_toric(2, 4, 4))
     assert report.dense_checked and calls
     assert report.max_commutator == 0.0
+    assert not report.ok
+
+    # a Hermitian matrix that does not commute with the others passes the
+    # Hermitian precondition and must fail the one-product commutator test:
+    # the first point conjugated by a dense Hadamard on site 0
+    hadamard = np.kron(np.eye(2 ** 7), np.array([[1, 1], [1, -1]]) / np.sqrt(2))
+    rotated = []
+
+    def rotate_first(sps, config=None):
+        mat = sps_dense(sps)
+        if not rotated:
+            mat = hadamard @ mat @ hadamard
+            rotated.append(mat)
+        return mat
+
+    monkeypatch.setattr(stabilizer, "sps_dense", rotate_first)
+    report = toric.annulus_extreme_points(toric.build_toric(2, 4, 4))
+    assert np.abs(rotated[0] - rotated[0].conj().T).max() <= 1e-12
+    assert report.dense_checked
+    assert not report.ok
+
+    # the Hermitian precondition is what makes one product enough: the last
+    # point plus u v^dagger, with u a column of it and v a column of the
+    # first point, gives rho_i @ tilted = 0 for every other point, so each
+    # one-product commutator vanishes, yet tilted does not commute with the
+    # first point
+    seen = []
+
+    def tilt_last(sps, config=None):
+        mat = sps_dense(sps)
+        if len(seen) == 3:
+            u = mat[:, np.abs(mat).max(axis=0).argmax()]
+            v = seen[0][:, np.abs(seen[0]).max(axis=0).argmax()]
+            mat = mat + np.outer(u, v.conj())
+        seen.append(mat)
+        return mat
+
+    monkeypatch.setattr(stabilizer, "sps_dense", tilt_last)
+    report = toric.annulus_extreme_points(toric.build_toric(2, 4, 4))
+    first, tilted = seen[0], seen[-1]
+    assert len(seen) == 4
+    assert all(np.abs(rho @ tilted).max() < 1e-15 for rho in seen[:3])
+    assert np.linalg.norm(first @ tilted - tilted @ first) > 1e-6
+    assert report.dense_checked
     assert not report.ok
 
 
