@@ -99,23 +99,18 @@ def augmented_form(A: Matrix, q: int) -> Matrix:
     return howell_form(rows, q, (len(A[0]) if k else 0) + k)
 
 
-def _relations(H: Matrix, q: int, n: int, k: int) -> Matrix:
-    """Generators of the lattice {x in Z^k : x*A = 0 (mod q)}, given
-    H = augmented_form(A, q) for a k x n matrix A.  The kernel rows of the
-    form span it only mod q, so the q*e_i rows are appended: phase checks
-    need relations such as g^q."""
-    relations = [row[n:] for row in H if not any(row[:n])]
-    return relations + [[q if i == j else 0 for j in range(k)] for i in range(k)]
-
-
-def lattice_data(A: Matrix, q: int, n: int) -> Tuple[Tuple[Tuple[int, ...], ...], int, Matrix]:
+def lattice_data(H: Matrix, q: int, n: int) -> Tuple[Tuple[Tuple[int, ...], ...], int, Matrix]:
     """(key, order, relations) of the subgroup of Z_q^n generated by the rows
-    of A, from one augmented form: key as in lattice_key, and relations
-    generating the lattice {x in Z^k : x*A = 0 (mod q)}, as in
-    left_kernel_mod."""
-    H = augmented_form(A, q)
+    of a k x n matrix A, read off H = augmented_form(A, q): key as in
+    lattice_key, order as in subgroup_order, and relations generating the
+    lattice {x in Z^k : x*A = 0 (mod q)}.  The kernel rows of the form span
+    that lattice only mod q, so the q*e_i rows are appended: phase checks
+    need relations such as g^q."""
+    k = len(H[0]) - n
     key = tuple(tuple(row[:n]) for row in H if any(row[:n]))
-    return key, form_order(key, q), _relations(H, q, n, len(A))
+    relations = [row[n:] for row in H if not any(row[:n])]
+    relations += [[q if i == j else 0 for j in range(k)] for i in range(k)]
+    return key, form_order(key, q), relations
 
 
 def solve_form(H: Matrix, v: Sequence[int], q: int) -> Optional[List[int]]:
@@ -158,7 +153,7 @@ def solve_left_mod(A: Matrix, v: Sequence[int], q: int) -> Optional[List[int]]:
 
 def left_kernel_mod(A: Matrix, q: int) -> List[List[int]]:
     """Generators of the lattice {x in Z^k : x*A = 0 (mod q)}, q*e_i included."""
-    return _relations(augmented_form(A, q), q, len(A[0]), len(A)) if A else []
+    return lattice_data(augmented_form(A, q), q, len(A[0]))[2] if A else []
 
 
 def right_kernel_mod(A: Matrix, q: int) -> List[List[int]]:

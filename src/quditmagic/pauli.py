@@ -125,10 +125,6 @@ def apply_to_state(P: PauliLabel, psi: np.ndarray) -> np.ndarray:
     return (np.exp(1j * np.pi * P.c / q) * tens).reshape(-1)
 
 
-def label_sort_key(P: PauliLabel) -> Tuple:
-    return (P.a, P.b, P.c)
-
-
 def to_text(P: PauliLabel) -> str:
     """Text form: `q n | a_0..a_{n-1} | b_0..b_{n-1} | c`."""
     return "%d %d | %s | %s | %d" % (

@@ -19,25 +19,23 @@ c's: compose, power and inverse are each linear in c, so
     phase(prod_i g_i^{x_i}) = base(rows, x) + sum_i x_i c_i   (mod 2q),
 
 where base(rows, x) is the phase of the same product with every c_i set to
-0.  validate, supported_subgroup and expectation_exponent therefore split
-into phase-free lattice data (kernels, relations with their base phases,
-commutation verdict, order, key, Howell form) and integer dot products with
-the generators' phases.  All three keep the phase-free part in small
-fixed-size LRU memos keyed on (q, exponent rows[, region]) with tuple
-values, so the many groups that share a lattice and differ only in phases
-(all phase assignments of one lattice, the re-phasings extreme_points
-tries, the repeated braiding queries on one toric ground group) factorize it
-once; the commutation and phase checks still run on every call.  The
-elements of every group come from one table per lattice, with phases
-base + M.c.
-
-Two more memos follow the same split.  expectation_exponent keeps, next to
-the augmented form, the cross table T[j][i] = a_j.b_i, so the phase of the
-element x it solves for is product_label's sum over the nonzero x_j alone,
-O(nnz(x)^2) integer terms.  find_rephasing_pauli keeps the generators'
-orders, their independence verdict and the augmented form of the transposed
-(b | -a) rows, so each call is one solve_form; a dependent set still raises
-on every call.
+0.  validate, supported_subgroup, expectation_exponent and
+find_rephasing_pauli therefore split into phase-free lattice data and
+integer dot products with the generators' phases.  The lattice data is one
+record per (q, n, exponent rows) in a fixed-size LRU memo, each part
+computed once, on first use: the augmented form [rows | I]; validate's
+commutation verdict, relations with their base phases, order and key, read
+off that form after the commutation scan, so a non-commuting set builds no
+form; the cross table T[j][i] = a_j.b_i, from which expectation_exponent
+reads the phase of the element x it solves for on the form in O(nnz(x)^2)
+integer terms; and find_rephasing_pauli's generator orders, independence
+verdict and augmented form of the transposed (b | -a) rows, so each of its
+calls is one solve_form.  The many groups that share a lattice and differ
+only in phases (all phase assignments of one lattice, the re-phasings
+extreme_points tries, the repeated braiding queries on one toric ground
+group) factorize it once; the commutation, phase and independence checks
+still run on every call.  The elements of every group come from one table
+per lattice, with phases base + M.c.
 
 supported_subgroup goes one step further and memos a phase map: its
 generators are products h_j = prod_i g_i^{x_ji} with phases
@@ -136,19 +134,59 @@ def _zero_labels(q: int, n: int, rows: Sequence[Sequence[int]]) -> List[PauliLab
     return [PauliLabel(q, n, tuple(r[:n]), tuple(r[n:]), 0) for r in rows]
 
 
-@functools.lru_cache(maxsize=64)
-def _lattice_data(q: int, n: int, rows: Tuple[Tuple[int, ...], ...]) -> Tuple:
-    """Phase-free part of validate for generators with these exponent rows:
-    (first non-commuting pair or None, relations as (rel, rel, base phase),
-    order, key), in the relation format of _checked_group."""
-    for i in range(len(rows)):
-        for j in range(i + 1, len(rows)):
-            if _symplectic_product(rows[i], rows[j], n, q) != 0:
-                return (i, j), (), 0, ()
-    key, order, kernel = linalg.lattice_data(rows, q, 2 * n)
-    zero = _zero_labels(q, n, rows)
-    relations = tuple((rel, rel, product_label(zero, rel).c) for rel in map(tuple, kernel))
-    return None, relations, order, key
+class _Lattice:
+    """Phase-free data of generators with exponent rows `rows` on n qudits
+    of dimension q; each part is computed once, on first use."""
+
+    def __init__(self, q: int, n: int, rows: Tuple[Tuple[int, ...], ...]):
+        self.q, self.n, self.rows = q, n, rows
+
+    @functools.cached_property
+    def form(self) -> Tuple[Tuple[int, ...], ...]:
+        """The augmented form [rows | I]."""
+        return tuple(map(tuple, linalg.augmented_form(self.rows, self.q)))
+
+    @functools.cached_property
+    def checks(self) -> Tuple:
+        """validate's (first non-commuting pair or None, relations as
+        (rel, rel, base phase), order, key), in the relation format of
+        _checked_group."""
+        q, n, rows = self.q, self.n, self.rows
+        for i in range(len(rows)):
+            for j in range(i + 1, len(rows)):
+                if _symplectic_product(rows[i], rows[j], n, q) != 0:
+                    return (i, j), (), 0, ()
+        key, order, kernel = linalg.lattice_data(self.form, q, 2 * n)
+        zero = _zero_labels(q, n, rows)
+        relations = tuple((rel, rel, product_label(zero, rel).c) for rel in map(tuple, kernel))
+        return None, relations, order, key
+
+    @functools.cached_property
+    def cross(self) -> Tuple[Tuple[int, ...], ...]:
+        """The table T[j][i] = a_j . b_i, from which expectation_exponent
+        reads product_label's a_j . B_{<j} terms."""
+        n, rows = self.n, self.rows
+        return tuple(tuple(sum(map(mul, rj[:n], ri[n:])) for ri in rows) for rj in rows)
+
+    @functools.cached_property
+    def rephasing(self) -> Tuple:
+        """find_rephasing_pauli's (orders, independent, H) with H the
+        augmented form of the transpose of the rows (b | -a), so that
+        solve_form(H, v) solves (b | -a) z = v.  Its rows with a nonzero
+        first part are the Howell form of the column span of (b | -a), which
+        has the order of the row span of (a | b) (both follow from the Smith
+        form), so the independence check, prod orders = |span|, needs no
+        second Howell form."""
+        q, n, rows = self.q, self.n, self.rows
+        orders = tuple(pauli.order(PauliLabel(q, n, r[:n], r[n:], 0)) for r in rows)
+        k = len(rows)
+        C = [r[n:] + tuple(-x for x in r[:n]) for r in rows]
+        H = linalg.augmented_form([list(col) for col in zip(*C)], q)
+        span = linalg.form_order([row[:k] for row in H if any(row[:k])], q)
+        return orders, span == functools.reduce(mul, orders, 1), tuple(map(tuple, H))
+
+
+_lattice = functools.lru_cache(maxsize=64)(_Lattice)
 
 
 def _checked_group(
@@ -180,24 +218,13 @@ def validate(tableau: Sequence[PauliLabel]) -> StabilizerGroup:
         if g.q != q or g.n != n:
             raise pauli.ShapeMismatch("mixed (n, q) in tableau")
     gens = tuple(tableau)
-    data = _lattice_data(q, n, _rows_key(gens))
+    data = _lattice(q, n, _rows_key(gens)).checks
     return _checked_group(q, n, gens, data, [g.c for g in gens])
 
 
 def trivial_group(q: int, n: int) -> StabilizerGroup:
     # the Howell form of the zero subgroup has no rows
     return StabilizerGroup(q=q, n=n, gens=(), order=1, key=())
-
-
-@functools.lru_cache(maxsize=16)
-def _decomposition(q: int, rows: Tuple[Tuple[int, ...], ...]) -> Tuple:
-    """(C, orders) of generators with these exponent rows, from the Smith
-    form mod q of the rows themselves (linalg.independent_decomposition):
-    row j of C gives the exponents of an independent generator of order
-    orders[j], ascending.  All phase assignments of one lattice and all
-    conjugates of one group share it."""
-    C, orders = linalg.independent_decomposition(rows, q)
-    return tuple(map(tuple, C)), tuple(orders)
 
 
 @functools.lru_cache(maxsize=1)
@@ -212,7 +239,7 @@ def _element_table(q: int, n: int, rows: Tuple[Tuple[int, ...], ...]) -> Tuple:
     the least type that holds 2q (0.2 MB, not 1.4, at 6,561 elements)."""
     A = B = np.zeros((1, n), dtype=np.int64)
     base, M = np.zeros(1, dtype=np.int64), np.zeros((1, len(rows)), dtype=np.int64)
-    for crow, d in zip(*_decomposition(q, rows)):
+    for crow, d in zip(*linalg.independent_decomposition(rows, q)):
         if d == 1:
             continue
         h = product_label(_zero_labels(q, n, rows), crow)
@@ -249,17 +276,6 @@ def member(S: StabilizerGroup, P: PauliLabel) -> str:
     return MEMBER_PHASE_MATCH if exp == 0 else MEMBER_UP_TO_PHASE
 
 
-@functools.lru_cache(maxsize=16)
-def _exponent_data(q: int, rows: Tuple[Tuple[int, ...], ...]) -> Tuple:
-    """(H, T) for generators with these exponent rows: H their augmented
-    form, T the cross table T[j][i] = a_j . b_i, from which
-    expectation_exponent reads product_label's a_j . B_{<j} terms."""
-    n = len(rows[0]) // 2
-    H = tuple(map(tuple, linalg.augmented_form(rows, q)))
-    T = tuple(tuple(sum(map(mul, rj[:n], ri[n:])) for ri in rows) for rj in rows)
-    return H, T
-
-
 def expectation_exponent(S: StabilizerGroup, P: PauliLabel) -> Optional[int]:
     """If P = omega_{2q}^e * s for s in S, return e mod 2q, else None.
 
@@ -276,10 +292,11 @@ def expectation_exponent(S: StabilizerGroup, P: PauliLabel) -> Optional[int]:
         if any(P.a) or any(P.b):
             return None
         return P.c
-    H, T = _exponent_data(S.q, _rows_key(S.gens))
-    x = linalg.solve_form(H, pauli.symplectic_vector(P), S.q)
+    lat = _lattice(S.q, S.n, _rows_key(S.gens))
+    x = linalg.solve_form(lat.form, pauli.symplectic_vector(P), S.q)
     if x is None:
         return None
+    T = lat.cross
     c = 0
     done: List[Tuple[int, int]] = []
     for j, xj in enumerate(x):
@@ -312,8 +329,8 @@ def _supported_data(
     """Phase-free part of supported_subgroup for generators with these rows
     and the given outside columns: the kernel combinations x whose product
     has a nonzero symplectic part, as (x, a, b, base) with the product's
-    phase base + x.c for generator phases c, and the _lattice_data of those
-    products with each relation rel mapped onto the generators' phases:
+    phase base + x.c for generator phases c, and the _Lattice checks of
+    those products with each relation rel mapped onto the generators' phases:
     R = sum_j rel_j x_j and r0 = rel's base + sum_j rel_j base_j (mod 2q).
     Relations with R = r0 = 0 hold for every c and are dropped."""
     if cols:
@@ -331,7 +348,7 @@ def _supported_data(
     if not combos:
         return (), None
     q2 = 2 * q
-    pair, relations, order, key = _lattice_data(q, n, tuple(a + b for _, a, b, _ in combos))
+    pair, relations, order, key = _lattice(q, n, tuple(a + b for _, a, b, _ in combos)).checks
     xcols = list(zip(*(x for x, _, _, _ in combos)))
     bases = [b0 for _, _, _, b0 in combos]
     mapped = []
@@ -371,9 +388,12 @@ def locally_generated(S: StabilizerGroup, balls: Sequence[Sequence[int]]) -> Sta
 def restrict(S: StabilizerGroup, region: Sequence[int]) -> StabilizerGroup:
     """Relabel a group supported on region onto sites 0..len(region)-1.
 
-    Sites are taken in ascending order of their original indices.
+    Sites are taken in ascending order of their original indices; a
+    repeated site raises ValueError.
     """
     _check_sites(S.n, region)
+    if len(set(region)) != len(region):
+        raise ValueError("region %r repeats a site" % list(region))
     region = sorted(region)
     pos = {site: k for k, site in enumerate(region)}
     m = len(region)
@@ -562,7 +582,7 @@ def enumerate_stabilizer_groups(
         if target is not None and order != target:
             continue
         base = _zero_labels(q, n, form)
-        C, orders = _decomposition(q, form)
+        C, orders = linalg.independent_decomposition(form, q)
         shifted = []
         for crow, d in zip(C, orders):
             if d == 1:
@@ -628,7 +648,7 @@ def extreme_points(
     cur_rows = [pauli.symplectic_vector(g) for g in S_loc.gens]
     cur_key = S_loc.key
     l_gens: List[PauliLabel] = []
-    for elem in sorted(elements(S_r), key=pauli.label_sort_key):
+    for elem in sorted(elements(S_r)):
         if cur_key == S_r.key:
             break
         if not any(elem.a) and not any(elem.b):
@@ -666,23 +686,6 @@ def extreme_points(
 # Pauli re-phasing (conjugation characters)
 # ---------------------------------------------------------------------------
 
-@functools.lru_cache(maxsize=16)
-def _rephasing_data(q: int, n: int, rows: Tuple[Tuple[int, ...], ...]) -> Tuple:
-    """Phase-free part of find_rephasing_pauli for generators with these
-    exponent rows: (orders, independent, H) with H the augmented form of
-    the transpose of the rows (b | -a), so that solve_form(H, v) solves
-    (b | -a) z = v.  Its rows with a nonzero first part are the Howell form
-    of the column span of (b | -a), which has the order of the row span of
-    (a | b) (both follow from the Smith form), so the independence check,
-    prod orders = |span|, needs no second Howell form."""
-    orders = tuple(pauli.order(PauliLabel(q, n, r[:n], r[n:], 0)) for r in rows)
-    k = len(rows)
-    C = [r[n:] + tuple(-x for x in r[:n]) for r in rows]
-    H = linalg.augmented_form([list(col) for col in zip(*C)], q)
-    span = linalg.form_order([row[:k] for row in H if any(row[:k])], q)
-    return orders, span == functools.reduce(mul, orders, 1), tuple(map(tuple, H))
-
-
 def find_rephasing_pauli(
     gens: Sequence[PauliLabel], targets: Sequence[int]
 ) -> PauliLabel:
@@ -699,7 +702,7 @@ def find_rephasing_pauli(
     q, n = gens[0].q, gens[0].n
     if any(g.q != q or g.n != n for g in gens):
         raise pauli.ShapeMismatch("mixed (n, q) in generators")
-    orders, independent, H = _rephasing_data(q, n, _rows_key(gens))
+    orders, independent, H = _lattice(q, n, _rows_key(gens)).rephasing
     if not independent:
         raise NotIndependent("generators are not independent")
     rhs = [(q // delta) * (u % delta) for delta, u in zip(orders, targets)]

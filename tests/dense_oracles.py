@@ -7,7 +7,7 @@ import json
 
 import numpy as np
 
-from quditmagic import pauli, stabilizer
+from quditmagic import linalg, pauli, stabilizer
 from quditmagic.config import DEFAULT_CONFIG, RunConfig, check_dense, log_value
 
 SUPPORT_CUTOFF = 1e-10
@@ -86,5 +86,5 @@ def to_dense(P: pauli.PauliLabel, config: RunConfig = DEFAULT_CONFIG) -> np.ndar
 def independent_generators(S: stabilizer.StabilizerGroup):
     """Independent generators of S with their orders (divisor chain, trivial
     ones dropped); the product of the orders equals |S|."""
-    C, orders = stabilizer._decomposition(S.q, stabilizer._rows_key(S.gens))
+    C, orders = linalg.independent_decomposition(stabilizer._rows_key(S.gens), S.q)
     return [(stabilizer.product_label(S.gens, row), d) for row, d in zip(C, orders) if d > 1]

@@ -173,8 +173,11 @@ def test_kernel_and_solve_at_composite_moduli(q, A, v):
     n = len(A[0])
     v = v[:n]
     gens = linalg.left_kernel_mod(A, q)
-    # the kernel alone, with the relations lattice_data reads off the same form
-    assert gens == linalg.lattice_data(A, q, n)[2]
+    # the kernel alone, with the relations, key and order lattice_data reads
+    # off the augmented form
+    key, order, relations = linalg.lattice_data(linalg.augmented_form(A, q), q, n)
+    assert gens == relations
+    assert key == linalg.lattice_key(A, q, n) and order == linalg.subgroup_order(A, q, n)
     spanned = brute_subgroup([[c % q for c in g] for g in gens], q, len(A))
     assert spanned == brute_kernel(A, q)
     # x -> x*A maps Z_q^k onto the image with this kernel; over Z the rows

@@ -152,7 +152,9 @@ def test_little_endian_site_order():
 def test_symplectic_vector_and_sort_key():
     P = pauli.label(4, 2, [1, 2], [3, 0], 5)
     assert pauli.symplectic_vector(P) == [1, 2, 3, 0]
-    assert pauli.label_sort_key(P) == ((1, 2), (3, 0), 5)
+    # labels of one (q, n) sort by (a, b, c), the order extreme_points relies on
+    Q, R = pauli.label(4, 2, [1, 2], [2, 3], 7), pauli.label(4, 2, [0, 3], [3, 0], 0)
+    assert sorted([P, Q, R]) == [R, Q, P]
 
 
 @settings(max_examples=40, deadline=None)

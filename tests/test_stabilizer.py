@@ -462,6 +462,25 @@ def test_expectation_exponent_matches_product_label_toric(q, Lx, Ly):
         assert None not in got[:2 * q * q] and None in got[-40:]
 
 
+def test_validate_and_expectation_exponent_share_one_form(monkeypatch):
+    # one record per lattice: validating the ground group and every braiding
+    # query on it build one augmented form on its rows, not one each
+    code = toric.build_toric(3, 3, 3)
+    lat = code.lattice
+    built = []
+    augmented_form = linalg.augmented_form
+    monkeypatch.setattr(linalg, "augmented_form",
+                        lambda A, q: built.append(tuple(map(tuple, A))) or augmented_form(A, q))
+    stabilizer._lattice.cache_clear()
+    braiding = toric._Braiding(lat, toric.smatrix_paths(lat), toric.ground_group(code))
+    S = braiding.group
+    strings = [braiding._type(toric.AnyonType(a, b))[0] for a in range(3) for b in range(3)]
+    ops = [s.l_v for s in strings] + [s.l_w for s in strings]
+    ops += [toric._braid_operator(s1, s2) for s1 in strings for s2 in strings]
+    assert None not in [stabilizer.expectation_exponent(S, P) for P in ops]
+    assert built.count(stabilizer._rows_key(S.gens)) == 1
+
+
 def test_supported_subgroup_checks_phases_on_every_call():
     # a valid group with rows (Z0, Z0) is queried first; a hand-built group
     # with the same rows and gens Z0, -Z0 must still be rejected, every time,
@@ -608,6 +627,13 @@ def test_restrict_rejects_sites_outside_the_register():
     S = stabilizer.validate([lbl(2, 2, [1, 0], [0, 0]), lbl(2, 2, [0, 1], [0, 0])])
     with pytest.raises(ValueError, match="5"):
         stabilizer.restrict(S, [0, 1, 5])
+    # a repeated site would relabel Z x I onto two sites as I x Z, and give
+    # extreme_points a point on two sites
+    ZI = stabilizer.validate([lbl(2, 2, [1, 0], [0, 0])])
+    with pytest.raises(ValueError, match="repeats"):
+        stabilizer.restrict(ZI, [0, 0])
+    with pytest.raises(ValueError, match="repeats"):
+        stabilizer.extreme_points(stabilizer.StabilizerProjectionState(ZI), [0, 0], [[0]])
 
 
 # sha256 over repr((gens as (a, b, c), order, key)) of every enumerated group
@@ -782,7 +808,7 @@ def _character_extreme_points(reference, omega, balls):
     cur_rows = [pauli.symplectic_vector(g) for g in S_loc.gens]
     cur_key = S_loc.key
     l_gens = []
-    for elem in sorted(stabilizer.elements(S_r), key=pauli.label_sort_key):
+    for elem in sorted(stabilizer.elements(S_r)):
         if cur_key == S_r.key:
             break
         if not any(elem.a) and not any(elem.b):
