@@ -2,7 +2,9 @@
 
 Subcommands wrap the library modules with stable flags and JSON reports.
 Every report carries ``schema: 1`` and the run configuration, and identical
-inputs with the same seed produce byte-identical output.
+inputs with the same seed produce byte-identical output.  Each subcommand
+imports the package modules it runs on entry, so ``import quditmagic.cli``
+loads only ``cli`` and ``config``.
 
 Exit codes: 0 success, 1 a requested check failed, 2 budget exceeded,
 64 usage error, 65 malformed input data, 70 internal error.
@@ -13,7 +15,6 @@ import json
 import sys
 from typing import List, Optional, Sequence
 
-from . import covering, dense, magic, pauli, stabilizer, toric, witness
 from .config import BudgetExceeded, RunConfig
 
 EXIT_OK = 0
@@ -64,6 +65,7 @@ def _emit(config: RunConfig, body: dict) -> None:
 
 
 def _load_state(path: str):
+    from . import dense
     try:
         with open(path) as fh:
             return dense.state_from_json(fh.read())
@@ -74,6 +76,7 @@ def _load_state(path: str):
 
 
 def _load_tableau(path: str):
+    from . import stabilizer
     try:
         with open(path) as fh:
             return stabilizer.tableau_from_text(fh.read())
@@ -88,6 +91,7 @@ def _load_tableau(path: str):
 # ---------------------------------------------------------------------------
 
 def cmd_cover(args, config: RunConfig) -> int:
+    from . import covering, stabilizer
     if args.q < 2 or args.n < 1:
         raise UsageError("need --q >= 2 and --n >= 1")
     expected = covering.expected_member_count(args.q, args.n)
@@ -136,6 +140,7 @@ def _measure_dict(mv) -> Optional[dict]:
 
 
 def cmd_magic(args, config: RunConfig) -> int:
+    from . import dense, magic
     q, n, psi = _load_state(args.state)
     measures = magic.ALL_MEASURES
     if args.measures:
@@ -159,6 +164,7 @@ def cmd_magic(args, config: RunConfig) -> int:
 
 
 def cmd_rephase(args, config: RunConfig) -> int:
+    from . import pauli, stabilizer
     gens = _load_tableau(args.tableau)
     try:
         targets = [int(x) for x in args.targets.split()]
@@ -180,6 +186,7 @@ def cmd_rephase(args, config: RunConfig) -> int:
 
 
 def _parse_pairs(text: str, q: int) -> list:
+    from . import toric
     pairs = []
     for chunk in text.split(";"):
         try:
@@ -198,6 +205,7 @@ def _parse_pairs(text: str, q: int) -> list:
 def _toric_check(args, check):
     """check(code) on the toric code of args; a lattice too small for it is
     a usage error."""
+    from . import toric
     try:
         return check(toric.build_toric(args.q, args.lx, args.ly))
     except toric.GeometryTooSmall as exc:
@@ -205,6 +213,7 @@ def _toric_check(args, check):
 
 
 def cmd_smatrix(args, config: RunConfig) -> int:
+    from . import toric
     pairs = _parse_pairs(args.pairs, args.q) if args.pairs else None
     rep = _toric_check(args, lambda code: toric.quantization_check(code, pairs))
     _emit(config, {
@@ -229,6 +238,7 @@ def cmd_smatrix(args, config: RunConfig) -> int:
 
 
 def cmd_annulus(args, config: RunConfig) -> int:
+    from . import toric
     rep = _toric_check(args, lambda code: toric.annulus_extreme_points(code, config=config))
     _emit(config, {
         "command": "toric annulus",
@@ -259,6 +269,7 @@ def _state_and_regions(args):
 
 
 def cmd_mi(args, config: RunConfig) -> int:
+    from . import dense, witness
     q, n, psi, A, B = _state_and_regions(args)
     try:
         verdict = witness.mi_forbidden_window(
@@ -279,6 +290,7 @@ def cmd_mi(args, config: RunConfig) -> int:
 
 
 def cmd_sandwich(args, config: RunConfig) -> int:
+    from . import dense, witness
     q, n, psi, A, B = _state_and_regions(args)
     try:
         rep = witness.mi_stability_check(
@@ -299,6 +311,7 @@ def cmd_sandwich(args, config: RunConfig) -> int:
 
 
 def cmd_assemble(args, config: RunConfig) -> int:
+    from . import dense, witness
     try:
         with open(args.profile) as fh:
             prof = json.load(fh)
@@ -329,6 +342,7 @@ def cmd_assemble(args, config: RunConfig) -> int:
 
 
 def cmd_certify(args, config: RunConfig) -> int:
+    from . import witness
     patches = []
     for chunk in args.patches.split(","):
         parts = chunk.split(":")
@@ -339,7 +353,7 @@ def cmd_certify(args, config: RunConfig) -> int:
         except ValueError:
             raise UsageError("each patch is eps:D with eps float, D int")
     try:
-        cert = magic.certify_product_lf(patches, args.target, config)
+        cert = witness.certify_product_lf(patches, args.target, config)
     except ValueError as exc:
         raise UsageError(str(exc))
     _emit(config, {

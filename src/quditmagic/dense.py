@@ -28,7 +28,8 @@ def state_from_amplitudes(q: int, n: int, amps: Sequence[complex]) -> np.ndarray
         raise ValueError("amplitude vector has wrong length")
     if not np.isfinite(v).all():
         raise ValueError("amplitudes must be finite")
-    nrm = np.linalg.norm(v)
+    with np.errstate(over="ignore"):   # amplitudes near 1e308 overflow to inf
+        nrm = np.linalg.norm(v)
     if abs(nrm - 1.0) > 1e-12:
         raise ValueError("state vector is not normalized")
     return v

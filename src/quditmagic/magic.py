@@ -33,8 +33,6 @@ configured log units, the gap the bracket's width in those units, and the
 status "exact" iff upper - lower < GAP_TOL, else "upper-estimate".  Only
 the LP, sparse in Pauli coordinates, loads anything of scipy: HiGHS's
 bindings, on its first solve, without scipy.optimize or scipy.sparse.
-Also the patch-certificate machinery turning trace-distance lower bounds
-on small patches into global fidelity/entropy lower bounds.
 """
 
 import math
@@ -704,56 +702,6 @@ def sm_distinguishing_pauli(rho: np.ndarray, sigma: np.ndarray, q: int, n: int,
 
 
 # ---------------------------------------------------------------------------
-# Patch certificates
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class PatchCertificate:
-    patches: Tuple[Tuple[float, int], ...]  # (epsilon, D) per patch
-    target: str                             # "SP" or "S"
-    bound: float                            # lower bound on LF
-
-
-def fsm_upper_from_distance(eps: float, D: int) -> float:
-    """sqrt(1 - eps^2 / 4D^2): stabilizer-measurement fidelity ceiling for a
-    patch whose state is 1-norm distance >= eps from the target set."""
-    if not 0.0 <= eps <= 2.0:
-        raise ValueError("trace-distance bound must lie in [0, 2]")
-    if D < 2:
-        raise ValueError("patch dimension must be >= 2")
-    return math.sqrt(1.0 - eps * eps / (4.0 * D * D))
-
-
-def certify_product_lf(patches: Sequence[Tuple[float, int]], target: str = "SP",
-                       config: RunConfig = DEFAULT_CONFIG) -> PatchCertificate:
-    """LF >= sum_i log 1/(1 - eps_i^2/4D_i^2) for any global pure state whose
-    reduction to the patch union is the product of the patch states."""
-    if target not in ("SP", "S"):
-        raise ValueError("target must be 'SP' or 'S'")
-    total = 0.0
-    for eps, D in patches:
-        f = fsm_upper_from_distance(eps, D)
-        total += log_value(1.0 / (f * f), config)
-    return PatchCertificate(
-        patches=tuple((float(e), int(D)) for e, D in patches),
-        target=target,
-        bound=total,
-    )
-
-
-def extensive_rel_entropy_bound(patches: Sequence[Tuple[float, int]],
-                                config: RunConfig = DEFAULT_CONFIG) -> float:
-    """Pinsker-route bound S(rho||S) >= sum_i eps_i^2 / (2 D_i^2), valid for
-    disjoint patches of a possibly entangled state (natural-log units,
-    converted to the configured base)."""
-    total_nat = 0.0
-    for eps, D in patches:
-        fsm_upper_from_distance(eps, D)  # the same checks on eps and D
-        total_nat += eps * eps / (2.0 * D * D)
-    return total_nat / math.log(config.base_value())
-
-
-# ---------------------------------------------------------------------------
 # Combined report
 # ---------------------------------------------------------------------------
 
@@ -777,7 +725,7 @@ def magic_report(rho: np.ndarray, dic: StabilizerDictionary,
 
     LF, S_max-to-set and LGR are only computed for (numerically) pure
     inputs and are None otherwise; the mixed-state versions are deliberately
-    not solved here, the certificate machinery covers those uses.
+    not solved here, witness's patch certificates cover those uses.
 
     The solvers run in the order LF, LR, S_max/LGR, S_rel, and each
     Frank-Wolfe run starts at the last hull point the report reached, or on

@@ -202,7 +202,7 @@ def test_criterion_05_t_state_scaling():
     lf2, _ = magic.lf_pure(t2, dic2)
     add_err = abs(lf2 - 2 * lf1)
     eps, _ = magic.distance_to_sps(dense.density_of(t1), 1, 2)
-    cert = magic.certify_product_lf([(eps, 2), (eps, 2)])
+    cert = witness.certify_product_lf([(eps, 2), (eps, 2)])
     ok = add_err < 1e-9 and cert.bound <= lf2 + 1e-12
     report(
         5, ok,
@@ -401,7 +401,7 @@ def test_criterion_12_extensivity_bound():
     # Frank-Wolfe relative-entropy estimate plus its certified gap
     t1 = t_state()
     eps, _ = magic.distance_to_sps(dense.density_of(t1), 1, 2)
-    bound = magic.extensive_rel_entropy_bound([(eps, 2), (eps, 2)])
+    bound = witness.extensive_rel_entropy_bound([(eps, 2), (eps, 2)])
     dic2 = magic.build_dictionary(2, 2)
     t2 = np.kron(t1, t1)
     fw = magic.rel_entropy_magic(dense.density_of(t2), dic2).s_rel

@@ -85,6 +85,60 @@ def test_only_magic_loads_scipy_optimize(tmp_path, argv, loaded):
     assert out.stdout.split() == ["0", "False", "False", str(loaded)], out.stderr
 
 
+# Each case runs in a fresh interpreter: import the named module, run
+# cli.main on the rest of argv if any, and print the exit code, the package
+# modules then loaded and whether numpy was.
+IMPORT_PROBE = """
+import contextlib, importlib, io, json, sys
+importlib.import_module(sys.argv[1])
+code = 0
+if sys.argv[2:]:
+    from quditmagic import cli
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(sys.argv[2:])
+print(json.dumps([code, sorted(m for m in sys.modules if m.split(".")[0] == "quditmagic"),
+                  "numpy" in sys.modules]))
+"""
+
+
+def probe_imports(argv):
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(quditmagic.__file__)))
+    out = subprocess.run(
+        [sys.executable, "-c", IMPORT_PROBE] + argv,
+        env=env, capture_output=True, text=True, check=True,
+    )
+    code, loaded, numpy_loaded = json.loads(out.stdout)
+    return code, {m.split(".", 1)[1] for m in loaded if "." in m}, numpy_loaded
+
+
+def test_cli_import_loads_only_cli_and_config():
+    # every subcommand imports its modules on entry, so the bare import
+    # loads neither another package module nor numpy
+    assert probe_imports(["quditmagic.cli"]) == (0, {"cli", "config"}, False)
+
+
+def test_witness_import_does_not_load_magic():
+    _, loaded, _ = probe_imports(["quditmagic.witness"])
+    assert "witness" in loaded and "magic" not in loaded
+
+
+@pytest.mark.parametrize("argv,runs,absent", [
+    (["toric", "smatrix", "--q", "2", "--lx", "2", "--ly", "2"], "toric",
+     {"magic", "simplex", "covering", "witness"}),
+    (["witness", "sandwich", "--state", "STATE", "--regionA", "0", "--regionB", "2",
+      "--depth", "0"], "witness",
+     {"magic", "simplex", "stabilizer", "toric"}),
+    (["cover", "--q", "2", "--n", "1", "--verify"], "covering",
+     {"magic", "toric", "witness"}),
+], ids=["toric-smatrix", "witness-sandwich", "cover"])
+def test_subcommand_loads_only_its_modules(tmp_path, argv, runs, absent):
+    state = write_state(tmp_path, 2, 3, [1, 0, 0, 0, 0, 0, 0, 0])
+    argv = [state if a == "STATE" else a for a in argv]
+    code, loaded, _ = probe_imports(["quditmagic.cli"] + argv)
+    assert code == 0 and runs in loaded
+    assert not loaded & absent, sorted(loaded & absent)
+
+
 def test_cover_report(capsys):
     body = run_json(capsys, ["cover", "--q", "6", "--n", "1", "--verify"])
     assert body["schema"] == 1
@@ -329,6 +383,22 @@ def test_magic_non_integer_header_is_data_error(capsys, tmp_path, field, value):
     assert "data error" in err and out == ""
 
 
+def test_magic_overflowing_amplitudes_print_only_the_data_error(tmp_path):
+    # the norm of these finite amplitudes overflows to inf; the state is
+    # rejected with the data error alone on stderr, no numpy warning
+    path = tmp_path / "big.json"
+    path.write_text('{"q": 2, "n": 1, "amplitudes": [[1e308, 1e308], [1e308, 0]]}')
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(quditmagic.__file__)))
+    out = subprocess.run(
+        [sys.executable, "-W", "default", "-m", "quditmagic.cli", "magic", "--state", str(path)],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert out.returncode == cli.EXIT_DATA
+    assert out.stdout == ""
+    assert out.stderr.splitlines() == [
+        "data error: malformed state file: state vector is not normalized"]
+
+
 @pytest.mark.parametrize("measures", [[], ["--measures", "lf,srel,smax"]])
 def test_magic_non_finite_amplitude_is_data_error(capsys, tmp_path, measures):
     # rejected when the state is read, before any solver runs
@@ -369,6 +439,11 @@ def test_witness_mi(capsys, tmp_path):
     ["sandwich", "--regionA", "0", "--regionB", "2", "--depth", "-1"],
     ["sandwich", "--regionA", "0", "--regionB", "7", "--depth", "0"],
     ["sandwich", "--regionA", "0,0", "--regionB", "2", "--depth", "0"],
+    # an empty region would report a vacuous mi of 0 or a sandwich that holds
+    ["mi", "--regionA", ",", "--regionB", "1"],
+    ["mi", "--regionA", "0", "--regionB", " "],
+    ["sandwich", "--regionA", ",", "--regionB", "2", "--depth", "0"],
+    ["sandwich", "--regionA", "0", "--regionB", "", "--depth", "1"],
 ])
 def test_witness_bad_input_is_usage_error(capsys, tmp_path, args):
     state = write_state(tmp_path, 2, 3, [1, 0, 0, 0, 0, 0, 0, 0])

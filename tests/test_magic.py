@@ -783,38 +783,6 @@ def test_sm_distinguishing_pauli_checks_its_input():
                                       RunConfig(dense_limit=3))
 
 
-def test_fsm_upper_from_distance():
-    assert abs(magic.fsm_upper_from_distance(0.0, 2) - 1.0) < 1e-12
-    assert abs(
-        magic.fsm_upper_from_distance(2.0, 2) - math.sqrt(1 - 4 / 16)
-    ) < 1e-12
-    with pytest.raises(ValueError):
-        magic.fsm_upper_from_distance(3.0, 2)
-    with pytest.raises(ValueError):
-        magic.fsm_upper_from_distance(0.5, 1)
-
-
-def test_certify_product_lf():
-    cert = magic.certify_product_lf([(1.0, 2), (1.0, 2)])
-    single = magic.certify_product_lf([(1.0, 2)])
-    assert abs(cert.bound - 2 * single.bound) < 1e-12
-    f = magic.fsm_upper_from_distance(1.0, 2)
-    assert abs(single.bound - math.log2(1 / f ** 2)) < 1e-12
-    with pytest.raises(ValueError):
-        magic.certify_product_lf([(1.0, 2)], target="X")
-
-
-def test_extensive_rel_entropy_bound():
-    val = magic.extensive_rel_entropy_bound([(1.0, 2), (0.5, 4)])
-    expected = (1.0 / 8.0 + 0.25 / 32.0) / math.log(2)
-    assert abs(val - expected) < 1e-12
-    with pytest.raises(ValueError):
-        magic.extensive_rel_entropy_bound([(3.0, 2)])
-    for D in (0, 1):
-        with pytest.raises(ValueError, match="patch dimension"):
-            magic.extensive_rel_entropy_bound([(0.5, D)])
-
-
 def test_magic_report_selection(dic12):
     rho = dense.density_of(t_state())
     rep = magic.magic_report(rho, dic12, measures=("lf", "lr"))

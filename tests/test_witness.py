@@ -82,6 +82,9 @@ def test_window_never_fires_on_the_window_edge():
     dict(A=[0], B=[7]),
     dict(A=[0], B=[-1]),
     dict(A=[0, 0], B=[2]),
+    # an empty region has I(A:B) = 0: a vacuous witness, not a result
+    dict(A=[], B=[2]),
+    dict(A=[0], B=[]),
 ])
 def test_window_rejects_bad_input(kwargs):
     rho = dense.density_of(zero_state(3))
@@ -91,6 +94,7 @@ def test_window_rejects_bad_input(kwargs):
 
 @pytest.mark.parametrize("depth,A,B", [
     (-1, [0], [2]), (0, [0], [7]), (0, [-1], [2]), (0, [0, 0], [2]),
+    (0, [], [2]), (1, [0], []),
 ])
 def test_sandwich_rejects_bad_input(depth, A, B):
     with pytest.raises(ValueError):
@@ -215,3 +219,35 @@ def test_assemble_rejects_bad_cert():
     for D in (0, 1):
         with pytest.raises(ValueError, match="patch dimension"):
             witness.logn_lrm_assemble(toy_profile(), [(0.5, D)])
+
+
+def test_fsm_upper_from_distance():
+    assert abs(witness.fsm_upper_from_distance(0.0, 2) - 1.0) < 1e-12
+    assert abs(
+        witness.fsm_upper_from_distance(2.0, 2) - math.sqrt(1 - 4 / 16)
+    ) < 1e-12
+    with pytest.raises(ValueError):
+        witness.fsm_upper_from_distance(3.0, 2)
+    with pytest.raises(ValueError):
+        witness.fsm_upper_from_distance(0.5, 1)
+
+
+def test_certify_product_lf():
+    cert = witness.certify_product_lf([(1.0, 2), (1.0, 2)])
+    single = witness.certify_product_lf([(1.0, 2)])
+    assert abs(cert.bound - 2 * single.bound) < 1e-12
+    f = witness.fsm_upper_from_distance(1.0, 2)
+    assert abs(single.bound - math.log2(1 / f ** 2)) < 1e-12
+    with pytest.raises(ValueError):
+        witness.certify_product_lf([(1.0, 2)], target="X")
+
+
+def test_extensive_rel_entropy_bound():
+    val = witness.extensive_rel_entropy_bound([(1.0, 2), (0.5, 4)])
+    expected = (1.0 / 8.0 + 0.25 / 32.0) / math.log(2)
+    assert abs(val - expected) < 1e-12
+    with pytest.raises(ValueError):
+        witness.extensive_rel_entropy_bound([(3.0, 2)])
+    for D in (0, 1):
+        with pytest.raises(ValueError, match="patch dimension"):
+            witness.extensive_rel_entropy_bound([(0.5, D)])
